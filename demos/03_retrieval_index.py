@@ -13,14 +13,12 @@ from pathlib import Path
 from scopekit import (
     FilterConfig,
     HashingEmbedder,
-    apply_filters,
     augment_query,
-    extract_scopes,
     index_build,
     ingest_repository,
     knn_search,
-    make_primary_pair,
 )
+from scopekit.pipeline import build_pairs, extract_all_scopes
 
 # A few small modules with deliberately different vocabularies, so nearest
 # neighbors are easy to eyeball.
@@ -59,13 +57,15 @@ with tempfile.TemporaryDirectory() as root:
         (Path(root) / name).write_text(text, encoding="utf-8")
     manifest = ingest_repository(root)
 
-cfg = FilterConfig()
-pairs = []
-for record in manifest.files:
-    for cand in apply_filters(extract_scopes(record), cfg, {record.file_id: record}):
-        pair = make_primary_pair(cand, record.content, cfg)
-        if pair is not None:
-            pairs.append(pair)
+pairs = build_pairs(
+    extract_all_scopes(manifest),
+    manifest.record_by_id(),
+    FilterConfig(),
+    "<|endoftext|>",
+    random_starts=0,  # the index holds primary pairs only
+    seed=0,
+    include_closer=True,
+)
 print(f"indexing {len(pairs)} primary pairs")
 
 # The built-in embedder hashes character n-grams into a fixed-width

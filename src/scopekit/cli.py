@@ -21,18 +21,15 @@ from .metrics import aggregate_report, evaluate, read_tests_jsonl, write_records
 from .pairs import (
     DEFAULT_EOT_TOKEN,
     FilterConfig,
-    apply_filters,
     exclude_holdout,
     leakage_scan,
-    make_primary_pair,
-    make_random_start_pairs,
-    pairs_sort_key,
     read_pairs,
+    write_leakage_report,
     write_pairs,
 )
-from .pipeline import Mode, run_pipeline, run_sweep
+from .pipeline import Mode, build_pairs, extract_all_scopes, run_pipeline, run_sweep
 from .ragindex import HashingEmbedder, RemoteEmbedder, VectorIndex, augment_query, index_build, knn_search
-from .scopes import extract_scopes, read_scopes, write_scopes
+from .scopes import read_scopes, write_scopes
 
 logger = logging.getLogger(__name__)
 
@@ -84,10 +81,8 @@ def _cmd_scopes(args) -> int:
     cfg = _existing_config(args.config)
     manifest = load_manifest(args.manifest)
     patterns = tuple(args.logging_pattern or (cfg.logging_patterns if cfg else ())) or None
-    all_cands = []
     diagnostics: list[str] = []
-    for rec in manifest.files:
-        all_cands.extend(extract_scopes(rec, patterns, diagnostics=diagnostics))
+    all_cands = extract_all_scopes(manifest, patterns, diagnostics=diagnostics)
     write_scopes(all_cands, args.out)
     for d in diagnostics:
         print(f"warning: {d}", file=sys.stderr)
@@ -113,30 +108,21 @@ def _filter_from_args(args, cfg: PipelineConfig | None) -> FilterConfig:
 def _cmd_pairs(args) -> int:
     cfg = _existing_config(args.config)
     manifest = load_manifest(args.manifest)
-    candidates = read_scopes(args.scopes)
-    filters = _filter_from_args(args, cfg)
-    records = manifest.record_by_id()
-    kept = apply_filters(candidates, filters, records)
-    eot = args.eot_token or (cfg.eot_token if cfg else DEFAULT_EOT_TOKEN)
-    k = args.random_starts if args.random_starts is not None else (cfg.random_starts if cfg else 1)
-    seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
-    include_closer = cfg.include_closing_delimiter if cfg else True
-    pairs = []
-    for cand in kept:
-        content = records[cand.file_id].content
-        pairs.append(make_primary_pair(cand, content, filters, eot, include_closer=include_closer))
-        pairs.extend(
-            make_random_start_pairs(
-                cand, content, filters, eot, k=k, seed=seed, include_closer=include_closer
-            )
-        )
+    pairs = build_pairs(
+        read_scopes(args.scopes),
+        manifest.record_by_id(),
+        _filter_from_args(args, cfg),
+        args.eot_token or (cfg.eot_token if cfg else DEFAULT_EOT_TOKEN),
+        random_starts=args.random_starts if args.random_starts is not None else (cfg.random_starts if cfg else 1),
+        seed=args.seed if args.seed is not None else (cfg.seed if cfg else 0),
+        include_closer=cfg.include_closing_delimiter if cfg else True,
+    )
     holdout = list(cfg.holdout_paths) if cfg else []
     if args.holdout:
         holdout = [line.strip() for line in Path(args.holdout).read_text(encoding="utf-8").splitlines() if line.strip()]
     if holdout:
         path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
         pairs = exclude_holdout(pairs, holdout, path_by_id)
-    pairs.sort(key=pairs_sort_key)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} pairs -> {args.out}")
     return EXIT_OK
@@ -154,19 +140,7 @@ def _cmd_leak_scan(args) -> int:
             label = d.get("label") if d.get("label") is not None else d.get("ground_truth", "")
             tests.append((str(test_id), label))
     report = leakage_scan(train, tests, args.eot_token)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for f in report.findings:
-            fh.write(
-                json.dumps(
-                    {
-                        "test_pair_id": f.test_pair_id,
-                        "training_pair_id": f.training_pair_id,
-                        "match_kind": f.match_kind,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_leakage_report(report, args.out)
     print(f"{len(report.findings)} leakage finding(s) -> {args.out}")
     return EXIT_OK
 
@@ -197,7 +171,7 @@ def _cmd_index_query(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .client import GenerationRequest, batch_predict
+    from .client import GenerationRequest, batch_predict, write_predictions
 
     tests = []
     with open(args.tests, encoding="utf-8") as fh:
@@ -213,22 +187,7 @@ def _cmd_predict(args) -> int:
         timeout=args.timeout,
     )
     outcomes = batch_predict(args.endpoint, tests, template, max_in_flight=args.max_in_flight)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for o in outcomes:
-            fh.write(
-                json.dumps(
-                    {
-                        "test_id": o.test_id,
-                        "text": o.result.text if o.result else None,
-                        "latency_s": o.result.latency_s if o.result else None,
-                        "stop_reason": o.result.stop_reason.value if o.result else None,
-                        "error": o.error,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_predictions(outcomes, args.out)
     failures = sum(1 for o in outcomes if o.error)
     print(f"{len(outcomes) - failures} prediction(s), {failures} failure(s) -> {args.out}")
     return EXIT_OK
@@ -374,10 +333,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScopekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
+    except (ScopekitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

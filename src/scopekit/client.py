@@ -9,11 +9,13 @@ behavior.
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import requests
@@ -162,3 +164,22 @@ def batch_predict(
         return []
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(one, items))
+
+
+def write_predictions(outcomes: Iterable[PredictionOutcome], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for o in outcomes:
+            fh.write(
+                json.dumps(
+                    {
+                        "test_id": o.test_id,
+                        "text": o.result.text if o.result else None,
+                        "latency_s": o.result.latency_s if o.result else None,
+                        "stop_reason": o.result.stop_reason.value if o.result else None,
+                        "error": o.error,
+                    },
+                    sort_keys=True,
+                    ensure_ascii=False,
+                )
+                + "\n"
+            )

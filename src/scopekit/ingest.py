@@ -76,7 +76,6 @@ class IngestManifest:
     repo_root: str
     files: list[FileRecord]
     counts: dict[str, int]
-    ingested_at: str
 
     def record_by_id(self) -> dict[str, FileRecord]:
         return {r.file_id: r for r in self.files}
@@ -171,30 +170,22 @@ def ingest_repository(
     counts: dict[str, int] = {}
     for rec in records:
         counts[rec.language.value] = counts.get(rec.language.value, 0) + 1
-    return IngestManifest(
-        repo_root=str(rootp),
-        files=records,
-        counts=counts,
-        ingested_at=datetime.now(tz=timezone.utc).isoformat(timespec="seconds"),
-    )
+    return IngestManifest(repo_root=str(rootp), files=records, counts=counts)
 
 
 def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> Path:
     """Write manifest.jsonl plus a content-addressed objects/ sidecar.
 
     The first JSONL line is the manifest header; each following line is one
-    file record. Returns the manifest path.
+    file record. Nothing in it depends on when ingest ran, so the same tree
+    gives the same bytes. Returns the manifest path.
     """
     out = Path(out_dir)
     objects = out / OBJECTS_DIR
     objects.mkdir(parents=True, exist_ok=True)
     lines = [
         json.dumps(
-            {
-                "repo_root": manifest.repo_root,
-                "counts": manifest.counts,
-                "ingested_at": manifest.ingested_at,
-            },
+            {"repo_root": manifest.repo_root, "counts": manifest.counts},
             sort_keys=True,
             ensure_ascii=False,
         )
@@ -245,9 +236,4 @@ def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
                 lossy_decoded=bool(d.get("lossy_decoded", False)),
             )
         )
-    return IngestManifest(
-        repo_root=header["repo_root"],
-        files=files,
-        counts=header["counts"],
-        ingested_at=header["ingested_at"],
-    )
+    return IngestManifest(repo_root=header["repo_root"], files=files, counts=header["counts"])

@@ -30,6 +30,10 @@ _OPENER_FOR = {b"}": b"{", b")": b"("}
 
 _WS = b" \t\r\n\x0b\x0c"
 
+# Bytes a pp-number may contain ([lex.ppnumber]); sign characters after
+# e/E/p/P are left out, which only shortens the walk back.
+_PP_NUMBER = frozenset(b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_.'")
+
 _WORD = frozenset(
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$"
 ) | frozenset(range(0x80, 0x100))  # non-ASCII identifier bytes
@@ -133,6 +137,8 @@ def _scan_preproc(content: bytes, pos: int, diagnostics: list[str]) -> int:
                 pos = i + 2
         elif b == b"\n":
             return i
+        elif b == b"'" and _digit_separator(content, i):
+            pos = i + 1
         elif b in (b'"', b"'"):
             ev = _STRING_EVENT if b == b'"' else _CHAR_EVENT
             end, unterminated = _scan_quoted(content, i + 1, ev)
@@ -143,6 +149,15 @@ def _scan_preproc(content: bytes, pos: int, diagnostics: list[str]) -> int:
             return _scan_line_comment(content, i + 2, splice=True)
         else:  # b'/*'
             pos = _scan_block_comment(content, i + 2, diagnostics)
+
+
+def _digit_separator(content: bytes, i: int) -> bool:
+    """A quote inside a pp-number (1'000, 0xaaaa'aaaa) is a C++14 digit
+    separator, not a char literal; u8'a' and L'a' stay literals."""
+    j = i
+    while j > 0 and content[j - 1] in _PP_NUMBER:
+        j -= 1
+    return j < i and content[j] in b"0123456789"
 
 
 def _at_line_start(content: bytes, i: int) -> bool:
@@ -211,8 +226,8 @@ def scan(content: bytes, language: Language) -> ScanResult:
             res.opaque.append(OpaqueSpan(i, end, "string"))
             pos = end
         elif tok == b"'":
-            if is_c and content[i - 1 : i].isdigit():
-                pos = i + 1  # C++14 digit separator, not a char literal
+            if is_c and _digit_separator(content, i):
+                pos = i + 1
                 continue
             end, unterminated = _scan_quoted(content, i + 1, _CHAR_EVENT)
             if unterminated:

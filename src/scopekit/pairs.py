@@ -281,6 +281,22 @@ class LeakageReport:
         return not self.findings
 
 
+def write_leakage_report(report: LeakageReport, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in report.findings:
+            fh.write(
+                json.dumps(
+                    {
+                        "test_pair_id": f.test_pair_id,
+                        "training_pair_id": f.training_pair_id,
+                        "match_kind": f.match_kind,
+                    },
+                    sort_keys=True,
+                )
+                + "\n"
+            )
+
+
 def _normalized(text: str, eot_token: str | None) -> str:
     if eot_token and text.endswith(eot_token):
         text = text[: -len(eot_token)]

@@ -16,13 +16,15 @@ import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from . import client, metrics, ragindex
 from .config import PipelineConfig
 from .errors import InvalidConfigError, StageError
-from .ingest import IngestManifest, ingest_repository, write_manifest
+from .ingest import FileRecord, IngestManifest, ingest_repository, write_manifest
 from .pairs import (
     CompletionPair,
+    FilterConfig,
     PairKind,
     apply_filters,
     dataset_card,
@@ -31,9 +33,10 @@ from .pairs import (
     make_primary_pair,
     make_random_start_pairs,
     pairs_sort_key,
+    write_leakage_report,
     write_pairs,
 )
-from .scopes import extract_scopes, write_scopes
+from .scopes import ScopeCandidate, extract_scopes, write_scopes
 
 logger = logging.getLogger(__name__)
 
@@ -103,45 +106,48 @@ class _Runner:
         return path
 
 
-def _generate_all_pairs(
-    manifest: IngestManifest, config: PipelineConfig
-) -> list[CompletionPair]:
-    """Scopes -> filters -> primary + random-start pairs, deterministic order."""
-    records = manifest.record_by_id()
-    pairs: list[CompletionPair] = []
-    seen_content: set[str] = set()
+def extract_all_scopes(
+    manifest: IngestManifest, logging_patterns=None, *, diagnostics: list[str] | None = None
+) -> list[ScopeCandidate]:
+    """Scope candidates of every distinct file content, in manifest order.
+
+    Files are content-addressed, so a byte-identical copy would yield the
+    exact same candidates (and pairs): each file_id is extracted once.
+    """
+    candidates: list[ScopeCandidate] = []
+    seen: set[str] = set()
     for rec in manifest.files:
-        # files are content-addressed: a byte-identical copy elsewhere in the
-        # repo would emit the exact same pairs, so process each content once
-        if rec.file_id in seen_content:
-            logger.info(
-                "skipping %s: identical content already processed", rec.repo_relative_path
-            )
+        if rec.file_id in seen:
+            logger.info("skipping %s: identical content already processed", rec.repo_relative_path)
             continue
-        seen_content.add(rec.file_id)
-        cands = extract_scopes(rec, config.logging_patterns)
-        kept = apply_filters(cands, config.filters, records)
-        for cand in kept:
-            pairs.append(
-                make_primary_pair(
-                    cand,
-                    rec.content,
-                    config.filters,
-                    config.eot_token,
-                    include_closer=config.include_closing_delimiter,
-                )
+        seen.add(rec.file_id)
+        candidates.extend(extract_scopes(rec, logging_patterns, diagnostics=diagnostics))
+    return candidates
+
+
+def build_pairs(
+    candidates: Iterable[ScopeCandidate],
+    records: Mapping[str, FileRecord],
+    filters: FilterConfig,
+    eot_token: str,
+    *,
+    random_starts: int,
+    seed: int,
+    include_closer: bool,
+) -> list[CompletionPair]:
+    """Filters -> primary + random-start pairs, sorted by pairs_sort_key."""
+    pairs: list[CompletionPair] = []
+    for cand in apply_filters(candidates, filters, records):
+        content = records[cand.file_id].content
+        pairs.append(
+            make_primary_pair(cand, content, filters, eot_token, include_closer=include_closer)
+        )
+        pairs.extend(
+            make_random_start_pairs(
+                cand, content, filters, eot_token,
+                k=random_starts, seed=seed, include_closer=include_closer,
             )
-            pairs.extend(
-                make_random_start_pairs(
-                    cand,
-                    rec.content,
-                    config.filters,
-                    config.eot_token,
-                    k=config.random_starts,
-                    seed=config.seed,
-                    include_closer=config.include_closing_delimiter,
-                )
-            )
+        )
     pairs.sort(key=pairs_sort_key)
     return pairs
 
@@ -167,15 +173,13 @@ def _stage_ingest(runner: _Runner, config: PipelineConfig) -> IngestManifest:
 def _stage_scopes_and_pairs(
     runner: _Runner, config: PipelineConfig, manifest: IngestManifest
 ) -> list[CompletionPair]:
-    holder: dict[str, list[CompletionPair]] = {}
+    holder: dict[str, list] = {}
     scopes_path = runner.out_dir / "scopes.jsonl"
     ingest_manifest = runner.out_dir / "ingest" / "manifest.jsonl"
 
     def do_scopes():
-        all_cands = []
-        for rec in manifest.files:
-            all_cands.extend(extract_scopes(rec, config.logging_patterns))
-        write_scopes(all_cands, scopes_path)
+        holder["c"] = extract_all_scopes(manifest, config.logging_patterns)
+        write_scopes(holder["c"], scopes_path)
         return [scopes_path]
 
     runner.run_stage("scopes", do_scopes, inputs={"manifest": ingest_manifest})
@@ -183,9 +187,16 @@ def _stage_scopes_and_pairs(
     pairs_path = runner.out_dir / "pairs_all.jsonl"
 
     def do_pairs():
-        pairs = _generate_all_pairs(manifest, config)
-        holder["p"] = pairs
-        write_pairs(pairs, pairs_path)
+        holder["p"] = build_pairs(
+            holder["c"],
+            manifest.record_by_id(),
+            config.filters,
+            config.eot_token,
+            random_starts=config.random_starts,
+            seed=config.seed,
+            include_closer=config.include_closing_delimiter,
+        )
+        write_pairs(holder["p"], pairs_path)
         return [pairs_path]
 
     runner.run_stage("pairs", do_pairs, inputs={"scopes": scopes_path})
@@ -261,19 +272,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
 
     def do_leak():
         report = leakage_scan(train, [(p.pair_id, p.label) for p in tests], config.eot_token)
-        with open(leak_path, "w", encoding="utf-8") as fh:
-            for f in report.findings:
-                fh.write(
-                    json.dumps(
-                        {
-                            "test_pair_id": f.test_pair_id,
-                            "training_pair_id": f.training_pair_id,
-                            "match_kind": f.match_kind,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_leakage_report(report, leak_path)
         if report.findings:
             logger.warning("leakage scan found %d finding(s)", len(report.findings))
         return [leak_path]
@@ -300,22 +299,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
             timeout=config.gen_timeout_s,
         )
         outcomes = client.batch_predict(config.generate_endpoint, prompts, template)
-        with open(predictions_path, "w", encoding="utf-8") as fh:
-            for o in outcomes:
-                fh.write(
-                    json.dumps(
-                        {
-                            "test_id": o.test_id,
-                            "text": o.result.text if o.result else None,
-                            "latency_s": o.result.latency_s if o.result else None,
-                            "stop_reason": o.result.stop_reason.value if o.result else None,
-                            "error": o.error,
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        client.write_predictions(outcomes, predictions_path)
         by_id = {p.pair_id: p for p in tests}
         evals = []
         for o in outcomes:

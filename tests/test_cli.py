@@ -6,6 +6,8 @@ import pytest
 from conftest import c_file_with_scopes, write_repo
 
 from scopekit.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
+from scopekit.config import PipelineConfig
+from scopekit.pipeline import Mode, run_pipeline
 
 
 @pytest.fixture
@@ -55,6 +57,38 @@ def test_stage_chain(tmp_path, repo, capsys):
         ]
     ) == EXIT_OK
     assert (out / "train.index").stat().st_size > 0
+
+
+def test_stage_chain_matches_pipeline_on_duplicate_content(tmp_path):
+    root = tmp_path / "repo"
+    text = c_file_with_scopes(3)
+    write_repo(root, {"a/same.c": text, "b/copy.c": text, "c/other.c": "/* other */\n" + text})
+    out = tmp_path / "work"
+    out.mkdir()
+    assert run(["ingest", "--root", root, "--out", out / "ingest"]) == EXIT_OK
+    assert run(["scopes", "--manifest", out / "ingest", "--out", out / "scopes.jsonl"]) == EXIT_OK
+    assert run(
+        [
+            "pairs",
+            "--scopes", out / "scopes.jsonl",
+            "--manifest", out / "ingest",
+            "--random-starts", 2,
+            "--seed", 7,
+            "--eot-token", "<|eos|>",
+            "--out", out / "pairs.jsonl",
+        ]
+    ) == EXIT_OK
+    cfg = PipelineConfig(
+        repo_root=root, output_dir=tmp_path / "run", random_starts=2, seed=7, eot_token="<|eos|>"
+    )
+    result = run_pipeline(cfg, Mode.FT_EXPORT)
+    cli_bytes = (out / "pairs.jsonl").read_bytes()
+    assert cli_bytes
+    assert cli_bytes == (result.out_dir / "pairs_all.jsonl").read_bytes()
+    assert (out / "scopes.jsonl").read_bytes() == (result.out_dir / "scopes.jsonl").read_bytes()
+    assert run(
+        ["index", "build", "--pairs", out / "pairs.jsonl", "--dimension", 32, "--out", out / "t.index"]
+    ) == EXIT_OK
 
 
 def test_index_query_roundtrip(tmp_path, repo, capsys, monkeypatch):
@@ -231,6 +265,25 @@ def test_operational_failure_exit_code(tmp_path, capsys):
         ["scopes", "--manifest", tmp_path / "absent", "--out", tmp_path / "s.jsonl"]
     ) == EXIT_FAILURE
     assert "error" in capsys.readouterr().err
+
+
+def test_not_an_index_file_is_failure(tmp_path, capsys, monkeypatch):
+    import io
+
+    bogus = tmp_path / "notes.txt"
+    bogus.write_text("plain text, not an index\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("query"))
+    assert run(["index", "query", "--index", bogus]) == EXIT_FAILURE
+    assert "error: not an index file" in capsys.readouterr().err
+
+
+def test_malformed_eval_input_is_failure(tmp_path, capsys):
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text('{"test_id": "a", "prediction": "x", "ground_truth": "x"}\n{not json\n')
+    assert run(
+        ["eval", "--tests", tests_file, "--out", tmp_path / "r.jsonl", "--report", tmp_path / "r.csv"]
+    ) == EXIT_FAILURE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_ingest_missing_root_is_failure(tmp_path, capsys):

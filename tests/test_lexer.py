@@ -36,8 +36,17 @@ def test_char_literals_and_escapes():
 
 
 def test_cpp14_digit_separator_not_char_literal():
-    text = "int x = 1'000'000; int f(){}"
-    assert [p[2] for p in pairs_of(text)] == ["(", "{"]
+    for text in (
+        "int x = 1'000'000; int f(){}",
+        "unsigned m = 0xaaaa'aaaa; int f(){}",
+        "#define MASK 0x7fff'ffff /* { spans\n lines */\nint f(){}",
+        # prefixed char literals stay literals, hiding the brace they quote
+        "char c = u8'{'; int f(){}",
+        "wchar_t c = L'{'; int f(){}",
+    ):
+        res = scan(text.encode(), Language.C_CPP)
+        assert [p.delimiter for p in res.pairs] == ["(", "{"], text
+        assert res.orphans == [] and res.diagnostics == [], text
 
 
 def test_line_comment_hides_delimiters():

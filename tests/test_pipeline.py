@@ -4,12 +4,13 @@ import hashlib
 import json
 
 import pytest
-from conftest import c_file_with_scopes, write_repo
+from conftest import c_file_with_scopes, make_record, write_repo
 
 from scopekit.config import PipelineConfig
 from scopekit.errors import InvalidConfigError, StageError
 from scopekit.pairs import FilterConfig, check_contiguity, check_pair_bounds, read_pairs
 from scopekit.pipeline import Mode, run_pipeline, run_sweep
+from scopekit.scopes import extract_scopes, write_scopes
 
 
 def make_repo(tmp_path, n_files=3):
@@ -76,6 +77,9 @@ def test_ft_export_deterministic(tmp_path):
     assert (ra.out_dir / "dataset_card.json").read_bytes() == (
         rb.out_dir / "dataset_card.json"
     ).read_bytes()
+    # no run-time stamp in any hashed artifact, so the whole chain repeats
+    for rel in ("ingest/manifest.jsonl", "run_manifest.json"):
+        assert (ra.out_dir / rel).read_bytes() == (rb.out_dir / rel).read_bytes(), rel
 
 
 def test_ft_export_holdout_excluded(tmp_path):
@@ -178,6 +182,39 @@ def test_duplicate_file_content_pairs_emitted_once(tmp_path):
     assert train
     ids = [p.pair_id for p in train]
     assert len(ids) == len(set(ids))
+
+
+def test_ft_export_scans_each_distinct_content_once(tmp_path, monkeypatch, caplog):
+    import scopekit.scopes
+
+    root = tmp_path / "repo"
+    text = c_file_with_scopes(2)
+    broken = "/* broken */\n" + text + "int dangling(void) {\n"
+    write_repo(root, {"a/same.c": text, "b/copy.c": text, "c/broken.c": broken})
+    scanned: list[bytes] = []
+    real_scan = scopekit.scopes.scan
+
+    def counting_scan(content, language):
+        scanned.append(content)
+        return real_scan(content, language)
+
+    monkeypatch.setattr(scopekit.scopes, "scan", counting_scan)
+    cfg = PipelineConfig(repo_root=root, output_dir=tmp_path / "out")
+    with caplog.at_level("WARNING", logger="scopekit.scopes"):
+        result = run_pipeline(cfg, Mode.FT_EXPORT)
+    assert sorted(scanned) == sorted({text.encode(), broken.encode()})
+    orphan_logs = [
+        r for r in caplog.records if "c/broken.c" in r.getMessage() and "unbalanced" in r.getMessage()
+    ]
+    assert len(orphan_logs) == 1
+    # scopes.jsonl lists each distinct content's candidates once, in manifest order
+    expected = tmp_path / "expected_scopes.jsonl"
+    write_scopes(
+        extract_scopes(make_record(text), diagnostics=[])
+        + extract_scopes(make_record(broken), diagnostics=[]),
+        expected,
+    )
+    assert (result.out_dir / "scopes.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_rag_eval_end_to_end(tmp_path, stub_service):
