@@ -17,6 +17,7 @@ from . import __version__
 from .config import PipelineConfig, load_config
 from .errors import InvalidConfigError, ScopekitError
 from .ingest import DEFAULT_MAX_FILE_BYTES, Language, ingest_repository, load_manifest, write_manifest
+from .jsonl import read_jsonl
 from .metrics import aggregate_report, evaluate, read_tests_jsonl, write_records, write_report_csv
 from .pairs import (
     DEFAULT_EOT_TOKEN,
@@ -108,9 +109,14 @@ def _filter_from_args(args, cfg: PipelineConfig | None) -> FilterConfig:
 def _cmd_pairs(args) -> int:
     cfg = _existing_config(args.config)
     manifest = load_manifest(args.manifest)
+    candidates = read_scopes(args.scopes)
+    records = manifest.record_by_id()
+    unknown = next((c.file_id for c in candidates if c.file_id not in records), None)
+    if unknown is not None:
+        raise ValueError(f"{args.scopes}: file_id {unknown} is not in manifest {args.manifest}")
     pairs = build_pairs(
-        read_scopes(args.scopes),
-        manifest.record_by_id(),
+        candidates,
+        records,
         _filter_from_args(args, cfg),
         args.eot_token or (cfg.eot_token if cfg else DEFAULT_EOT_TOKEN),
         random_starts=args.random_starts if args.random_starts is not None else (cfg.random_starts if cfg else 1),
@@ -131,14 +137,10 @@ def _cmd_pairs(args) -> int:
 def _cmd_leak_scan(args) -> int:
     train = read_pairs(args.train)
     tests = []
-    with open(args.tests, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            test_id = d.get("pair_id") or d.get("test_id") or "?"
-            label = d.get("label") if d.get("label") is not None else d.get("ground_truth", "")
-            tests.append((str(test_id), label))
+    for d in read_jsonl(args.tests):
+        test_id = d.get("pair_id") or d.get("test_id") or "?"
+        label = d.get("label") if d.get("label") is not None else d.get("ground_truth", "")
+        tests.append((str(test_id), label))
     report = leakage_scan(train, tests, args.eot_token)
     write_leakage_report(report, args.out)
     print(f"{len(report.findings)} leakage finding(s) -> {args.out}")
@@ -173,12 +175,7 @@ def _cmd_index_query(args) -> int:
 def _cmd_predict(args) -> int:
     from .client import GenerationRequest, batch_predict, write_predictions
 
-    tests = []
-    with open(args.tests, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                d = json.loads(line)
-                tests.append((str(d["test_id"]), d["prompt"]))
+    tests = [(str(d["test_id"]), d["prompt"]) for d in read_jsonl(args.tests, required=("test_id", "prompt"))]
     template = GenerationRequest(
         prompt="",
         max_new_tokens=args.max_new_tokens,

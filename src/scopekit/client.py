@@ -9,7 +9,6 @@ behavior.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 import time
@@ -21,6 +20,7 @@ from typing import Iterable, Sequence
 import requests
 
 from .errors import EndpointUnavailableError, GenerationTimeoutError, MalformedResponseError
+from .jsonl import write_jsonl
 from .pairs import DEFAULT_EOT_TOKEN
 
 logger = logging.getLogger(__name__)
@@ -167,19 +167,16 @@ def batch_predict(
 
 
 def write_predictions(outcomes: Iterable[PredictionOutcome], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for o in outcomes:
-            fh.write(
-                json.dumps(
-                    {
-                        "test_id": o.test_id,
-                        "text": o.result.text if o.result else None,
-                        "latency_s": o.result.latency_s if o.result else None,
-                        "stop_reason": o.result.stop_reason.value if o.result else None,
-                        "error": o.error,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        (
+            {
+                "test_id": o.test_id,
+                "text": o.result.text if o.result else None,
+                "latency_s": o.result.latency_s if o.result else None,
+                "stop_reason": o.result.stop_reason.value if o.result else None,
+                "error": o.error,
+            }
+            for o in outcomes
+        ),
+        path,
+    )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import fnmatch
 import hashlib
-import json
 import logging
 import os
 from datetime import datetime, timezone
@@ -18,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import RootNotFoundError
+from .jsonl import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -183,31 +183,21 @@ def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> Path
     out = Path(out_dir)
     objects = out / OBJECTS_DIR
     objects.mkdir(parents=True, exist_ok=True)
-    lines = [
-        json.dumps(
-            {"repo_root": manifest.repo_root, "counts": manifest.counts},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-    ]
+    rows = [{"repo_root": manifest.repo_root, "counts": manifest.counts}]
     for rec in manifest.files:
-        lines.append(
-            json.dumps(
-                {
-                    "file_id": rec.file_id,
-                    "path": rec.repo_relative_path,
-                    "language": rec.language.value,
-                    "byte_len": rec.byte_len,
-                    "modified_at": rec.modified_at,
-                    "lossy_decoded": rec.lossy_decoded,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
+        rows.append(
+            {
+                "file_id": rec.file_id,
+                "path": rec.repo_relative_path,
+                "language": rec.language.value,
+                "byte_len": rec.byte_len,
+                "modified_at": rec.modified_at,
+                "lossy_decoded": rec.lossy_decoded,
+            }
         )
         (objects / rec.file_id).write_bytes(rec.content)
     path = out / MANIFEST_NAME
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl(rows, path)
     return path
 
 
@@ -217,23 +207,23 @@ def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
     if p.is_dir():
         p = p / MANIFEST_NAME
     objects = p.parent / OBJECTS_DIR
-    lines = p.read_text(encoding="utf-8").splitlines()
-    header = json.loads(lines[0])
-    files = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        content = (objects / d["file_id"]).read_bytes()
-        files.append(
+    rows = read_jsonl(p)
+    if not rows:
+        raise ValueError(f"{p}: empty manifest, expected a header line")
+    header, *file_rows = rows
+    try:
+        files = [
             FileRecord(
                 file_id=d["file_id"],
                 repo_relative_path=d["path"],
                 language=Language(d["language"]),
-                content=content,
+                content=(objects / d["file_id"]).read_bytes(),
                 byte_len=d["byte_len"],
                 modified_at=d["modified_at"],
                 lossy_decoded=bool(d.get("lossy_decoded", False)),
             )
-        )
-    return IngestManifest(repo_root=header["repo_root"], files=files, counts=header["counts"])
+            for d in file_rows
+        ]
+        return IngestManifest(repo_root=header["repo_root"], files=files, counts=header["counts"])
+    except KeyError as exc:
+        raise ValueError(f"{p}: manifest row lacks key {exc}") from None

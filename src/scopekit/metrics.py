@@ -3,18 +3,21 @@
 Two views of the same DP table: the full unit-cost Levenshtein distance,
 and the minimum distance achieved by any prefix of the prediction (a model
 that says the right thing and then rambles scores well on the second,
-poorly on the first; the gap is the conciseness delta).
+poorly on the first; the gap is the conciseness delta). One DP pass yields
+both: row i's final column scores the prefix of length i, and the last row
+is the full distance.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import re
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .jsonl import read_jsonl, write_jsonl
 
 _WS_RUN = re.compile(r"[ \t]+")
 
@@ -25,16 +28,17 @@ def normalize_whitespace(text: str) -> str:
     return "\n".join(_WS_RUN.sub(" ", line).rstrip() for line in lines)
 
 
-def _dp_rows(prediction: Sequence, truth: Sequence):
-    """Yield the final-column value of each DP row.
+def _dp_rows(prediction: Sequence, truth: Sequence) -> tuple[int, int, int]:
+    """(full distance, opt-prefix distance, opt-prefix length) in one DP pass.
 
-    Row i's final column is levenshtein(prediction[:i], truth); iterating
-    all rows therefore scores every prefix of the prediction in one pass.
-    Memory stays at two rows of len(truth)+1.
+    Row i's final column is levenshtein(prediction[:i], truth); the minimum
+    over all rows, shortest prefix first on ties, is the opt-prefix score,
+    and the last row is the full distance. Memory stays at two rows of
+    len(truth)+1.
     """
     m = len(truth)
     prev = list(range(m + 1))
-    yield prev[m]  # empty prefix
+    best, best_len = m, 0  # empty prefix
     for i, pc in enumerate(prediction, start=1):
         cur = [i] + [0] * m
         for j, tc in enumerate(truth, start=1):
@@ -42,8 +46,10 @@ def _dp_rows(prediction: Sequence, truth: Sequence):
                 cur[j] = prev[j - 1]
             else:
                 cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
-        yield cur[m]
+        if cur[m] < best:
+            best, best_len = cur[m], i
         prev = cur
+    return prev[m], best, best_len
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -52,13 +58,7 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     Strings are compared per Unicode scalar; pass bytes for byte-level
     distance. Symmetric, zero iff equal, satisfies the triangle inequality.
     """
-    # iterate rows over the shorter side: O(min(len)) memory
-    if len(a) < len(b):
-        a, b = b, a
-    last = 0
-    for last in _dp_rows(a, b):
-        pass
-    return last
+    return _dp_rows(a, b)[0]
 
 
 def opt_prefix_distance(prediction: Sequence, ground_truth: Sequence) -> tuple[int, int]:
@@ -68,13 +68,8 @@ def opt_prefix_distance(prediction: Sequence, ground_truth: Sequence) -> tuple[i
     and the whole prediction are both candidates, so the result never
     exceeds the full distance.
     """
-    best = None
-    best_len = 0
-    for i, dist in enumerate(_dp_rows(prediction, ground_truth)):
-        if best is None or dist < best:
-            best = dist
-            best_len = i
-    return best, best_len
+    _, opt, opt_len = _dp_rows(prediction, ground_truth)
+    return opt, opt_len
 
 
 @dataclass(frozen=True)
@@ -108,8 +103,7 @@ def evaluate(
             truth = normalize_whitespace(truth)
         seq_p: Sequence = pred.encode("utf-8") if as_bytes else pred
         seq_t: Sequence = truth.encode("utf-8") if as_bytes else truth
-        full = levenshtein(seq_p, seq_t)
-        opt, opt_len = opt_prefix_distance(seq_p, seq_t)
+        full, opt, opt_len = _dp_rows(seq_p, seq_t)
         out.append(
             EvalRecord(
                 test_id=test_id,
@@ -159,25 +153,7 @@ def aggregate_report(records: Iterable[EvalRecord]) -> list[CategoryReport]:
 
 
 def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "test_id": r.test_id,
-                        "category": r.category,
-                        "prediction": r.prediction,
-                        "ground_truth": r.ground_truth,
-                        "full_distance": r.full_distance,
-                        "opt_distance": r.opt_distance,
-                        "opt_prefix_len": r.opt_prefix_len,
-                        "conciseness_delta": r.conciseness_delta,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(map(vars, records), path)
 
 
 def write_report_csv(reports: Iterable[CategoryReport], path: str | Path) -> None:
@@ -193,13 +169,7 @@ def write_report_csv(reports: Iterable[CategoryReport], path: str | Path) -> Non
 
 def read_tests_jsonl(path: str | Path) -> list[tuple[str, str, str, str]]:
     """Read eval inputs: JSONL of {test_id, category, prediction, ground_truth}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(
-                (str(d["test_id"]), d.get("category", "unclassified"), d["prediction"], d["ground_truth"])
-            )
-    return out
+    return [
+        (str(d["test_id"]), d.get("category", "unclassified"), d["prediction"], d["ground_truth"])
+        for d in read_jsonl(path, required=("test_id", "prediction", "ground_truth"))
+    ]

@@ -9,10 +9,9 @@ strings stay decodable; offsets remain byte offsets into canonical content.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
@@ -20,6 +19,7 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidConfigError
 from .ingest import FileRecord
+from .jsonl import read_jsonl, write_jsonl
 from .scopes import ScopeCandidate, ScopeCategory
 
 logger = logging.getLogger(__name__)
@@ -282,19 +282,7 @@ class LeakageReport:
 
 
 def write_leakage_report(report: LeakageReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in report.findings:
-            fh.write(
-                json.dumps(
-                    {
-                        "test_pair_id": f.test_pair_id,
-                        "training_pair_id": f.training_pair_id,
-                        "match_kind": f.match_kind,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(map(vars, report.findings), path)
 
 
 def _normalized(text: str, eot_token: str | None) -> str:
@@ -337,51 +325,22 @@ def pairs_sort_key(pair: CompletionPair):
     return (pair.file_id, pair.scope_start_byte, pair.kind.value, pair.start_shift_bytes)
 
 
+# A row is vars() of the dataclass: its fields are exactly the JSONL keys,
+# and str-enum fields serialise as their value.
+_PAIR_KEYS = tuple(f.name for f in fields(CompletionPair))
+
+
 def write_pairs(pairs: Iterable[CompletionPair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "pair_id": p.pair_id,
-                        "query": p.query,
-                        "label": p.label,
-                        "mask_len": p.mask_len,
-                        "kind": p.kind.value,
-                        "start_shift_bytes": p.start_shift_bytes,
-                        "category": p.category.value,
-                        "file_id": p.file_id,
-                        "scope_start_byte": p.scope_start_byte,
-                        "eot_token": p.eot_token,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(map(vars, pairs), path)
 
 
 def read_pairs(path: str | Path) -> list[CompletionPair]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(
-                CompletionPair(
-                    pair_id=d["pair_id"],
-                    query=d["query"],
-                    label=d["label"],
-                    mask_len=d["mask_len"],
-                    kind=PairKind(d["kind"]),
-                    start_shift_bytes=d["start_shift_bytes"],
-                    category=ScopeCategory(d["category"]),
-                    file_id=d["file_id"],
-                    scope_start_byte=d["scope_start_byte"],
-                    eot_token=d["eot_token"],
-                )
-            )
+    for d in read_jsonl(path, required=_PAIR_KEYS):
+        row = {k: d[k] for k in _PAIR_KEYS}
+        row["kind"] = PairKind(row["kind"])
+        row["category"] = ScopeCategory(row["category"])
+        out.append(CompletionPair(**row))
     return out
 
 

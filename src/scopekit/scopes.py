@@ -7,14 +7,14 @@ ambiguous falls to UNCLASSIFIED rather than a wrong category.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 from .ingest import FileRecord
+from .jsonl import read_jsonl, write_jsonl
 from .lexer import DelimiterSpan, ScanResult, Token, TokenWalker, scan
 
 logger = logging.getLogger(__name__)
@@ -287,43 +287,19 @@ def extract_scopes(
     return out
 
 
+# A row is vars() of the dataclass: its fields are exactly the JSONL keys,
+# and str-enum fields serialise as their value.
+_SCOPE_KEYS = tuple(f.name for f in fields(ScopeCandidate))
+
+
 def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in candidates:
-            fh.write(
-                json.dumps(
-                    {
-                        "file_id": c.file_id,
-                        "category": c.category.value,
-                        "start_byte": c.start_byte,
-                        "end_byte": c.end_byte,
-                        "depth": c.depth,
-                        "size_bytes": c.size_bytes,
-                        "prefix_available_bytes": c.prefix_available_bytes,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(map(vars, candidates), path)
 
 
 def read_scopes(path: str | Path) -> list[ScopeCandidate]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(
-                ScopeCandidate(
-                    file_id=d["file_id"],
-                    category=ScopeCategory(d["category"]),
-                    start_byte=d["start_byte"],
-                    end_byte=d["end_byte"],
-                    depth=d["depth"],
-                    size_bytes=d["size_bytes"],
-                    prefix_available_bytes=d["prefix_available_bytes"],
-                )
-            )
+    for d in read_jsonl(path, required=_SCOPE_KEYS):
+        row = {k: d[k] for k in _SCOPE_KEYS}
+        row["category"] = ScopeCategory(row["category"])
+        out.append(ScopeCandidate(**row))
     return out

@@ -283,7 +283,81 @@ def test_malformed_eval_input_is_failure(tmp_path, capsys):
     assert run(
         ["eval", "--tests", tests_file, "--out", tmp_path / "r.jsonl", "--report", tmp_path / "r.csv"]
     ) == EXIT_FAILURE
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {tests_file}:2: invalid JSON" in capsys.readouterr().err
+
+
+def _cross_manifest_pairs(tmp_path, repo):
+    """pairs with scopes from one manifest and records from another."""
+    run(["ingest", "--root", repo, "--out", tmp_path / "a"])
+    run(["scopes", "--manifest", tmp_path / "a", "--out", tmp_path / "scopes.jsonl"])
+    other = tmp_path / "other"
+    write_repo(other, {"x.c": "/* other */\n" + c_file_with_scopes(1)})
+    run(["ingest", "--root", other, "--out", tmp_path / "b"])
+    first_id = json.loads((tmp_path / "scopes.jsonl").read_text().splitlines()[0])["file_id"]
+    argv = ["pairs", "--scopes", tmp_path / "scopes.jsonl", "--manifest", tmp_path / "b",
+            "--out", tmp_path / "pairs.jsonl"]
+    return argv, f"file_id {first_id} is not in manifest"
+
+
+def _eval_argv(tmp_path, tests_file):
+    return ["eval", "--tests", tests_file, "--out", tmp_path / "r.jsonl", "--report", tmp_path / "r.csv"]
+
+
+def _malformed_eval_row(tmp_path, repo):
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text('\n{"test_id": "a", "ground_truth": "x"}\n')
+    return _eval_argv(tmp_path, tests_file), f"{tests_file}:2: missing key(s): prediction"
+
+
+def _malformed_predict_row(tmp_path, repo):
+    tests_file = tmp_path / "prompts.jsonl"
+    tests_file.write_text('{"test_id": "a"}\n')
+    # the endpoint is never contacted: reading the tests fails first
+    argv = ["predict", "--endpoint", "http://127.0.0.1:9/generate", "--tests", tests_file,
+            "--out", tmp_path / "p.jsonl"]
+    return argv, f"{tests_file}:1: missing key(s): prompt"
+
+
+def _array_eval_row(tmp_path, repo):
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text("[1,2]\n")
+    return _eval_argv(tmp_path, tests_file), f"{tests_file}:1: expected a JSON object, got list"
+
+
+def _array_leak_scan_row(tmp_path, repo):
+    train = tmp_path / "train.jsonl"
+    train.write_text("")
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text("[1,2]\n")
+    argv = ["leak-scan", "--train", train, "--tests", tests_file, "--out", tmp_path / "l.jsonl"]
+    return argv, f"{tests_file}:1: expected a JSON object, got list"
+
+
+def _empty_manifest(tmp_path, repo):
+    (tmp_path / "ingest").mkdir()
+    (tmp_path / "ingest" / "manifest.jsonl").write_text("")
+    argv = ["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "s.jsonl"]
+    return argv, f"{tmp_path / 'ingest' / 'manifest.jsonl'}: empty manifest"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _malformed_eval_row,
+        _malformed_predict_row,
+        _array_eval_row,
+        _array_leak_scan_row,
+        _empty_manifest,
+        _cross_manifest_pairs,
+    ],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_malformed_input_is_one_error_line(tmp_path, repo, capsys, case):
+    argv, expected = case(tmp_path, repo)
+    capsys.readouterr()
+    assert run(argv) == EXIT_FAILURE
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and expected in errors[0]
 
 
 def test_ingest_missing_root_is_failure(tmp_path, capsys):

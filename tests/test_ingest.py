@@ -125,7 +125,8 @@ def test_missing_root_raises(tmp_path):
 
 
 def test_manifest_roundtrip(tmp_path):
-    write_repo(tmp_path / "repo", {"a.c": "int a;", "sub/b.java": "class B {}"})
+    # U+2028 is a line break to str.splitlines but stays raw inside a JSON string
+    write_repo(tmp_path / "repo", {"a.c": "int a;", "sub/b.java": "class B {}", "c\u2028d.c": "int c;"})
     m = ingest_repository(tmp_path / "repo")
     out = tmp_path / "out"
     path = write_manifest(m, out)
@@ -133,6 +134,7 @@ def test_manifest_roundtrip(tmp_path):
     back = load_manifest(path)
     assert back.counts == m.counts
     assert [r.file_id for r in back.files] == [r.file_id for r in m.files]
+    assert [r.repo_relative_path for r in back.files] == [r.repo_relative_path for r in m.files]
     assert [r.content for r in back.files] == [r.content for r in m.files]
     # loading by directory works too
     assert load_manifest(out).counts == m.counts

@@ -3,8 +3,11 @@
 import random
 import string
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import oracle_levenshtein, oracle_opt_prefix
 
+from scopekit import metrics
 from scopekit.metrics import (
     aggregate_report,
     evaluate,
@@ -122,6 +125,34 @@ def test_evaluate_records_and_conciseness():
 def test_evaluate_byte_mode_flag():
     records = evaluate([("t1", "x", "café", "cafe")], as_bytes=True)
     assert records[0].full_distance == 2
+
+
+# Latin, precomposed and combining accents, and non-BMP scalars (4 UTF-8
+# bytes each), so scalar and byte distances differ.
+_TEXT = st.text(alphabet=st.sampled_from("abe\u00e9\u0301\U0001d11e\U0001f600"), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prediction=_TEXT, truth=_TEXT, as_bytes=st.booleans())
+def test_evaluate_matches_oracles(prediction, truth, as_bytes):
+    (rec,) = evaluate([("t", "x", prediction, truth)], as_bytes=as_bytes)
+    p, t = (prediction.encode("utf-8"), truth.encode("utf-8")) if as_bytes else (prediction, truth)
+    assert rec.full_distance == oracle_levenshtein(p, t)
+    assert (rec.opt_distance, rec.opt_prefix_len) == oracle_opt_prefix(p, t)
+    assert rec.conciseness_delta == rec.full_distance - rec.opt_distance
+
+
+def test_evaluate_runs_one_dp_per_record(monkeypatch):
+    calls = []
+    real = metrics._dp_rows
+
+    def counting(prediction, truth):
+        calls.append((prediction, truth))
+        return real(prediction, truth)
+
+    monkeypatch.setattr(metrics, "_dp_rows", counting)
+    evaluate([("a", "x", "abcXYZ", "abc"), ("b", "x", "", "q")])
+    assert calls == [("abcXYZ", "abc"), ("", "q")]
 
 
 def test_normalize_whitespace():
