@@ -137,7 +137,8 @@ def _cmd_pairs(args) -> int:
 def _cmd_leak_scan(args) -> int:
     train = read_pairs(args.train)
     tests = []
-    for d in read_jsonl(args.tests):
+    schema = {"pair_id": (str, int), "test_id": (str, int), "label": (str, type(None)), "ground_truth": str}
+    for d in read_jsonl(args.tests, schema, optional=schema):
         test_id = d.get("pair_id") or d.get("test_id") or "?"
         label = d.get("label") if d.get("label") is not None else d.get("ground_truth", "")
         tests.append((str(test_id), label))
@@ -175,7 +176,7 @@ def _cmd_index_query(args) -> int:
 def _cmd_predict(args) -> int:
     from .client import GenerationRequest, batch_predict, write_predictions
 
-    tests = [(str(d["test_id"]), d["prompt"]) for d in read_jsonl(args.tests, required=("test_id", "prompt"))]
+    tests = [(str(d["test_id"]), d["prompt"]) for d in read_jsonl(args.tests, {"test_id": (str, int), "prompt": str})]
     template = GenerationRequest(
         prompt="",
         max_new_tokens=args.max_new_tokens,
@@ -261,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training pairs JSONL")
     p.add_argument("--tests", required=True, help="JSONL with pair_id/test_id and label/ground_truth")
     p.add_argument("--eot-token", dest="eot_token", default=DEFAULT_EOT_TOKEN)
-    p.add_argument("--config", help="pipeline config file")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_leak_scan)
 
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--pairs", required=True)
     b.add_argument("--embedder", default="builtin")
     b.add_argument("--dimension", type=int, default=384)
-    b.add_argument("--config", help="pipeline config file")
     b.add_argument("--out", required=True)
     b.set_defaults(fn=_cmd_index_build)
     q = isub.add_parser("query")
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--top", type=int, default=3)
     q.add_argument("--augment", action="store_true", help="print the augmented prompt")
     q.add_argument("--budget-bytes", type=int, dest="budget_bytes", default=6144)
-    q.add_argument("--config", help="pipeline config file")
     q.set_defaults(fn=_cmd_index_query)
 
     p = sub.add_parser("predict", help="send prompts to a generation endpoint")
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=float, default=120.0)
     p.add_argument("--max-in-flight", type=int, dest="max_in_flight", default=4)
-    p.add_argument("--config", help="pipeline config file")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_predict)
 
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tests", required=True, help="JSONL of {test_id, category, prediction, ground_truth}")
     p.add_argument("--normalize", choices=["ws"], help="whitespace normalization")
     p.add_argument("--bytes", action="store_true", help="byte-level distances")
-    p.add_argument("--config", help="pipeline config file")
     p.add_argument("--out", required=True, help="eval records JSONL")
     p.add_argument("--report", required=True, help="per-category CSV")
     p.set_defaults(fn=_cmd_eval)

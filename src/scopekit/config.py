@@ -58,23 +58,44 @@ _TOP_KEYS = {
 }
 
 
+def _typed(section: dict, where: str, default, kind, want: str, problems: list[str], ok=None):
+    """The section's value for the last part of ``where``; the default when absent or null,
+    or when not a ``kind`` (a bool is no int) passing ``ok``: then "<where> must be <want>"."""
+    value = section.get(where.rpartition(".")[2])
+    if value is None:
+        return default
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or (ok and not ok(value)):
+        problems.append(f"{where} must be {want}")
+        return default
+    return value
+
+
+def _int(section: dict, where: str, default: int, minimum: int, problems: list[str]) -> int:
+    return _typed(section, where, default, int, f"an integer >= {minimum}", problems, lambda v: v >= minimum)
+
+
+def _strings(section: dict, where: str, default: tuple, problems: list[str]) -> tuple[str, ...]:
+    def all_str(v):
+        return all(isinstance(x, str) for x in v)
+
+    return tuple(_typed(section, where, default, (list, tuple), "a list of strings", problems, all_str))
+
+
 def _parse_filters(raw: dict, problems: list[str]) -> FilterConfig:
     unknown = set(raw) - _FILTER_KEYS
     if unknown:
         problems.append(f"filters: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key in _FILTER_KEYS & set(raw):
-        kwargs[key] = raw[key]
+    kwargs = {key: raw[key] for key in _FILTER_KEYS & set(raw)}
     if "category_allowlist" in kwargs and kwargs["category_allowlist"] is not None:
         cats = []
-        for name in kwargs["category_allowlist"]:
+        for name in _strings(raw, "filters.category_allowlist", (), problems):
             try:
                 cats.append(ScopeCategory(name))
             except ValueError:
                 problems.append(f"filters.category_allowlist: unknown category {name!r}")
         kwargs["category_allowlist"] = frozenset(cats)
     if "exclude_keywords" in kwargs:
-        kwargs["exclude_keywords"] = tuple(kwargs["exclude_keywords"])
+        kwargs["exclude_keywords"] = _strings(raw, "filters.exclude_keywords", (), problems)
     try:
         cfg = FilterConfig(**kwargs)
         cfg.validate()
@@ -104,8 +125,12 @@ def load_config(path: str | Path) -> PipelineConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown top-level keys {sorted(unknown)}")
+    filters_raw, pairs_raw, rag_raw, endpoints, gen_raw = (
+        _typed(raw, name, {}, dict, "a JSON object", problems)
+        for name in ("filters", "pairs", "rag", "endpoints", "generation")
+    )
 
-    repo_root = raw.get("repo_root")
+    repo_root = _typed(raw, "repo_root", None, str, "a path string", problems)
     if not repo_root:
         problems.append("repo_root is required")
         root_path = Path(".")
@@ -114,7 +139,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         if not root_path.is_dir():
             problems.append(f"repo_root is not a directory: {repo_root}")
 
-    output_dir = raw.get("output_dir")
+    output_dir = _typed(raw, "output_dir", None, str, "a path string", problems)
     if not output_dir:
         problems.append("output_dir is required")
         out_path = Path(".")
@@ -122,7 +147,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         out_path = Path(output_dir)
 
     languages = []
-    for name in raw.get("languages", ["c_cpp", "java"]):
+    for name in _strings(raw, "languages", ("c_cpp", "java"), problems):
         try:
             lang = Language(name)
             if lang is Language.OTHER:
@@ -133,64 +158,39 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not languages:
         problems.append("languages must name at least one of c_cpp, java")
 
-    filters = _parse_filters(raw.get("filters", {}), problems)
+    filters = _parse_filters(filters_raw, problems)
 
-    pairs_raw = raw.get("pairs", {})
-    random_starts = pairs_raw.get("random_starts", 1)
-    if not isinstance(random_starts, int) or random_starts < 0:
-        problems.append("pairs.random_starts must be an integer >= 0")
-        random_starts = 1
-    seed = pairs_raw.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append("pairs.seed must be an integer")
-        seed = 0
-    eot_token = pairs_raw.get("eot_token", DEFAULT_EOT_TOKEN)
-    if not eot_token:
-        problems.append("pairs.eot_token must be non-empty")
-        eot_token = DEFAULT_EOT_TOKEN
-    include_closer = bool(pairs_raw.get("include_closing_delimiter", True))
-    holdout_paths = tuple(pairs_raw.get("holdout_paths", ()))
-    logging_patterns = tuple(pairs_raw.get("logging_patterns", DEFAULT_LOGGING_PATTERNS))
+    random_starts = _int(pairs_raw, "pairs.random_starts", 1, 0, problems)
+    seed = _typed(pairs_raw, "pairs.seed", 0, int, "an integer", problems)
+    eot_token = _typed(pairs_raw, "pairs.eot_token", DEFAULT_EOT_TOKEN, str, "a non-empty string", problems, bool)
+    include_closer = _typed(pairs_raw, "pairs.include_closing_delimiter", True, bool, "true or false", problems)
+    holdout_paths = _strings(pairs_raw, "pairs.holdout_paths", (), problems)
+    logging_patterns = _strings(pairs_raw, "pairs.logging_patterns", DEFAULT_LOGGING_PATTERNS, problems)
     for pat in logging_patterns:
         try:
             re.compile(pat)
         except re.error as exc:
             problems.append(f"pairs.logging_patterns: bad regex {pat!r}: {exc}")
 
-    rag_raw = raw.get("rag", {})
-    embedder = rag_raw.get("embedder", "builtin")
+    embedder = _typed(rag_raw, "rag.embedder", "builtin", str, "a string", problems)
     if embedder != "builtin" and not embedder.startswith("remote:"):
         problems.append("rag.embedder must be 'builtin' or 'remote:<url>'")
-    dimension = rag_raw.get("dimension", 384)
-    if not isinstance(dimension, int) or dimension < 1:
-        problems.append("rag.dimension must be a positive integer")
-        dimension = 384
-    n_neighbors = rag_raw.get("n_neighbors", 3)
-    if not isinstance(n_neighbors, int) or n_neighbors < 1:
-        problems.append("rag.n_neighbors must be an integer >= 1")
-        n_neighbors = 3
-    budget_bytes = rag_raw.get("budget_bytes", 6144)
-    if not isinstance(budget_bytes, int) or budget_bytes < 1:
-        problems.append("rag.budget_bytes must be a positive integer")
-        budget_bytes = 6144
+    dimension = _int(rag_raw, "rag.dimension", 384, 1, problems)
+    n_neighbors = _int(rag_raw, "rag.n_neighbors", 3, 1, problems)
+    budget_bytes = _int(rag_raw, "rag.budget_bytes", 6144, 1, problems)
 
-    endpoints = raw.get("endpoints", {})
-    generate_endpoint = endpoints.get("generate")
-    gen_raw = raw.get("generation", {})
-    gen_max_new_tokens = gen_raw.get("max_new_tokens", 256)
-    gen_timeout = gen_raw.get("timeout_s", 120.0)
+    generate_endpoint = _typed(endpoints, "endpoints.generate", None, str, "a URL string", problems)
+    gen_max_new_tokens = _int(gen_raw, "generation.max_new_tokens", 256, 1, problems)
+    gen_timeout = _typed(
+        gen_raw, "generation.timeout_s", 120.0, (int, float), "a positive number", problems, lambda v: v > 0
+    )
 
-    max_file_bytes = raw.get("max_file_bytes", DEFAULT_MAX_FILE_BYTES)
-    if not isinstance(max_file_bytes, int) or max_file_bytes < 1:
-        problems.append("max_file_bytes must be a positive integer")
-        max_file_bytes = DEFAULT_MAX_FILE_BYTES
-
-    sweep = raw.get("sweep", {})
-    if not isinstance(sweep, dict) or not all(isinstance(v, list) for v in sweep.values()):
+    max_file_bytes = _int(raw, "max_file_bytes", DEFAULT_MAX_FILE_BYTES, 1, problems)
+    exclude_globs = _strings(raw, "exclude_globs", (), problems)
+    sweep = _typed(raw, "sweep", {}, dict, "a map of config keys to lists of values", problems)
+    if not all(isinstance(v, list) for v in sweep.values()):
         problems.append("sweep must map config keys to lists of values")
-        sweep = {}
-
-    predictions_path = raw.get("predictions_path")
+    predictions_path = _typed(raw, "predictions_path", None, str, "a path string", problems)
 
     if problems:
         raise InvalidConfigError(problems)
@@ -199,7 +199,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         repo_root=root_path,
         output_dir=out_path,
         languages=tuple(languages),
-        exclude_globs=tuple(raw.get("exclude_globs", ())),
+        exclude_globs=exclude_globs,
         max_file_bytes=max_file_bytes,
         filters=filters,
         logging_patterns=logging_patterns,

@@ -201,29 +201,33 @@ def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> Path
     return path
 
 
+_HEADER_ROW = {"repo_root": str, "counts": dict}
+_FILE_ROW = {
+    "file_id": str, "path": str, "language": Language, "byte_len": int, "modified_at": str,
+    "lossy_decoded": bool,
+}
+
+
 def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
     """Load a manifest written by write_manifest; accepts the file or its dir."""
     p = Path(manifest_path)
     if p.is_dir():
         p = p / MANIFEST_NAME
     objects = p.parent / OBJECTS_DIR
-    rows = read_jsonl(p)
+    rows = read_jsonl(p, _FILE_ROW, optional=("lossy_decoded",), header=_HEADER_ROW)
     if not rows:
         raise ValueError(f"{p}: empty manifest, expected a header line")
     header, *file_rows = rows
-    try:
-        files = [
-            FileRecord(
-                file_id=d["file_id"],
-                repo_relative_path=d["path"],
-                language=Language(d["language"]),
-                content=(objects / d["file_id"]).read_bytes(),
-                byte_len=d["byte_len"],
-                modified_at=d["modified_at"],
-                lossy_decoded=bool(d.get("lossy_decoded", False)),
-            )
-            for d in file_rows
-        ]
-        return IngestManifest(repo_root=header["repo_root"], files=files, counts=header["counts"])
-    except KeyError as exc:
-        raise ValueError(f"{p}: manifest row lacks key {exc}") from None
+    files = [
+        FileRecord(
+            file_id=d["file_id"],
+            repo_relative_path=d["path"],
+            language=d["language"],
+            content=(objects / d["file_id"]).read_bytes(),
+            byte_len=d["byte_len"],
+            modified_at=d["modified_at"],
+            lossy_decoded=d.get("lossy_decoded", False),
+        )
+        for d in file_rows
+    ]
+    return IngestManifest(repo_root=header["repo_root"], files=files, counts=header["counts"])

@@ -7,8 +7,9 @@ functions, so the on-disk format and its error messages live in one place.
 from __future__ import annotations
 
 import json
+from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Mapping
 
 
 def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
@@ -18,11 +19,35 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> list[dict]:
+def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collection[str], where: str) -> None:
+    missing = [k for k in schema if k not in row and k not in optional]
+    if missing:
+        raise ValueError(f"{where}: missing key(s): {', '.join(missing)}")
+    for key, kind in schema.items():
+        if key not in row:
+            continue
+        value = row[key]
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            try:
+                row[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"{where}: {key}: {value!r} is not a valid {kind.__name__}") from None
+        elif not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+            raise ValueError(f"{where}: {key}: expected {want}, got {type(value).__name__}")
+
+
+def read_jsonl(
+    path: str | Path, schema: Mapping[str, type | tuple] = {}, *, optional: Collection[str] = (), header=None
+) -> list[dict]:
     """The objects of a JSONL file, skipping blank lines.
 
-    Raises ValueError naming ``path:line`` for invalid JSON, a row that is
-    not an object, or a row lacking one of the ``required`` keys.
+    ``schema`` maps a key to its class, a tuple of classes, or an Enum class
+    (the value is converted to its member); a bool is no int. Each row
+    holds every schema key not in ``optional``, each of the right type. A
+    ``header`` schema, when given, checks the first row instead. Raises
+    ValueError naming ``path:line`` for invalid JSON, a row that is not an
+    object, a missing key or a value of the wrong type.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -35,8 +60,9 @@ def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
-            missing = [k for k in required if k not in row]
-            if missing:
-                raise ValueError(f"{path}:{lineno}: missing key(s): {', '.join(missing)}")
+            if header is not None and not rows:
+                _check_row(row, header, (), f"{path}:{lineno}")
+            else:
+                _check_row(row, schema, optional, f"{path}:{lineno}")
             rows.append(row)
     return rows

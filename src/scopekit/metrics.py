@@ -169,7 +169,8 @@ def write_report_csv(reports: Iterable[CategoryReport], path: str | Path) -> Non
 
 def read_tests_jsonl(path: str | Path) -> list[tuple[str, str, str, str]]:
     """Read eval inputs: JSONL of {test_id, category, prediction, ground_truth}."""
+    schema = {"test_id": (str, int), "category": str, "prediction": str, "ground_truth": str}
     return [
         (str(d["test_id"]), d.get("category", "unclassified"), d["prediction"], d["ground_truth"])
-        for d in read_jsonl(path, required=("test_id", "prediction", "ground_truth"))
+        for d in read_jsonl(path, schema, optional=("category",))
     ]

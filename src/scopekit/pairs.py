@@ -11,11 +11,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_type_hints
 
 from .errors import InvalidConfigError
 from .ingest import FileRecord
@@ -327,7 +327,7 @@ def pairs_sort_key(pair: CompletionPair):
 
 # A row is vars() of the dataclass: its fields are exactly the JSONL keys,
 # and str-enum fields serialise as their value.
-_PAIR_KEYS = tuple(f.name for f in fields(CompletionPair))
+_PAIR_FIELDS = get_type_hints(CompletionPair)
 
 
 def write_pairs(pairs: Iterable[CompletionPair], path: str | Path) -> None:
@@ -335,13 +335,7 @@ def write_pairs(pairs: Iterable[CompletionPair], path: str | Path) -> None:
 
 
 def read_pairs(path: str | Path) -> list[CompletionPair]:
-    out = []
-    for d in read_jsonl(path, required=_PAIR_KEYS):
-        row = {k: d[k] for k in _PAIR_KEYS}
-        row["kind"] = PairKind(row["kind"])
-        row["category"] = ScopeCategory(row["category"])
-        out.append(CompletionPair(**row))
-    return out
+    return [CompletionPair(**{k: d[k] for k in _PAIR_FIELDS}) for d in read_jsonl(path, _PAIR_FIELDS)]
 
 
 def dataset_card(pairs: Iterable[CompletionPair], cfg: FilterConfig, extra: dict | None = None) -> dict:

@@ -77,7 +77,8 @@ class _Runner:
         self.mode = mode
         self.stages: list[StageRecord] = []
 
-    def run_stage(self, name: str, fn, inputs: dict[str, Path]):
+    def run_stage(self, name: str, fn, inputs: dict[str, Path], outputs: list[Path]):
+        """Run fn, record the hashes of inputs and outputs, return fn's value."""
         rec = StageRecord(
             stage=name,
             status="failed",
@@ -85,13 +86,13 @@ class _Runner:
         )
         self.stages.append(rec)
         try:
-            outputs = fn()
+            value = fn()
         except Exception as exc:
             self.write_manifest()
             raise StageError(name, exc) from exc
         rec.outputs = {str(p.relative_to(self.out_dir)): _sha256_file(p) for p in outputs}
         rec.status = "complete"
-        return outputs
+        return value
 
     def write_manifest(self) -> Path:
         path = self.out_dir / "run_manifest.json"
@@ -152,43 +153,40 @@ def build_pairs(
     return pairs
 
 
-def _stage_ingest(runner: _Runner, config: PipelineConfig) -> IngestManifest:
-    holder: dict[str, IngestManifest] = {}
+def _stage_pairs(
+    runner: _Runner, config: PipelineConfig
+) -> tuple[list[CompletionPair], list[CompletionPair]]:
+    """The ingest, scopes and pairs stages; returns the (train, held) pairs.
 
-    def do():
+    Each pair is written once: to train_pairs.jsonl, or to
+    holdout_pairs.jsonl when its file is held out (empty without a holdout).
+    """
+    out = runner.out_dir
+    manifest_path, scopes_path = out / "ingest" / "manifest.jsonl", out / "scopes.jsonl"
+    train_path, held_path = out / "train_pairs.jsonl", out / "holdout_pairs.jsonl"
+
+    def do_ingest():
         manifest = ingest_repository(
             config.repo_root,
             set(config.languages),
             config.exclude_globs,
             max_file_bytes=config.max_file_bytes,
         )
-        holder["m"] = manifest
-        path = write_manifest(manifest, runner.out_dir / "ingest")
-        return [path]
+        write_manifest(manifest, out / "ingest")
+        return manifest
 
-    runner.run_stage("ingest", do, inputs={})
-    return holder["m"]
-
-
-def _stage_scopes_and_pairs(
-    runner: _Runner, config: PipelineConfig, manifest: IngestManifest
-) -> list[CompletionPair]:
-    holder: dict[str, list] = {}
-    scopes_path = runner.out_dir / "scopes.jsonl"
-    ingest_manifest = runner.out_dir / "ingest" / "manifest.jsonl"
+    manifest = runner.run_stage("ingest", do_ingest, {}, [manifest_path])
 
     def do_scopes():
-        holder["c"] = extract_all_scopes(manifest, config.logging_patterns)
-        write_scopes(holder["c"], scopes_path)
-        return [scopes_path]
+        candidates = extract_all_scopes(manifest, config.logging_patterns)
+        write_scopes(candidates, scopes_path)
+        return candidates
 
-    runner.run_stage("scopes", do_scopes, inputs={"manifest": ingest_manifest})
-
-    pairs_path = runner.out_dir / "pairs_all.jsonl"
+    candidates = runner.run_stage("scopes", do_scopes, {"manifest": manifest_path}, [scopes_path])
 
     def do_pairs():
-        holder["p"] = build_pairs(
-            holder["c"],
+        pairs = build_pairs(
+            candidates,
             manifest.record_by_id(),
             config.filters,
             config.eot_token,
@@ -196,32 +194,22 @@ def _stage_scopes_and_pairs(
             seed=config.seed,
             include_closer=config.include_closing_delimiter,
         )
-        write_pairs(holder["p"], pairs_path)
-        return [pairs_path]
+        path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
+        train = exclude_holdout(pairs, config.holdout_paths, path_by_id)
+        train_ids = {p.pair_id for p in train}
+        held = [p for p in pairs if p.pair_id not in train_ids]
+        write_pairs(train, train_path)
+        write_pairs(held, held_path)
+        return train, held
 
-    runner.run_stage("pairs", do_pairs, inputs={"scopes": scopes_path})
-    return holder["p"]
-
-
-def _split_holdout(
-    pairs: list[CompletionPair], config: PipelineConfig, manifest: IngestManifest
-) -> tuple[list[CompletionPair], list[CompletionPair]]:
-    path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
-    train = exclude_holdout(pairs, config.holdout_paths, path_by_id)
-    train_ids = {p.pair_id for p in train}
-    held = [p for p in pairs if p.pair_id not in train_ids]
-    return train, held
+    return runner.run_stage("pairs", do_pairs, {"scopes": scopes_path}, [train_path, held_path])
 
 
 def _run_ft_export(runner: _Runner, config: PipelineConfig) -> None:
-    manifest = _stage_ingest(runner, config)
-    pairs = _stage_scopes_and_pairs(runner, config, manifest)
-    train_path = runner.out_dir / "train_pairs.jsonl"
+    train, _ = _stage_pairs(runner, config)
     card_path = runner.out_dir / "dataset_card.json"
 
     def do_export():
-        train, _ = _split_holdout(pairs, config, manifest)
-        write_pairs(train, train_path)
         card = dataset_card(
             train,
             config.filters,
@@ -234,9 +222,9 @@ def _run_ft_export(runner: _Runner, config: PipelineConfig) -> None:
             },
         )
         card_path.write_text(json.dumps(card, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return [train_path, card_path]
 
-    runner.run_stage("ft_export", do_export, inputs={"pairs": runner.out_dir / "pairs_all.jsonl"})
+    train_path = runner.out_dir / "train_pairs.jsonl"
+    runner.run_stage("ft_export", do_export, {"pairs": train_path}, [card_path])
 
 
 def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
@@ -244,9 +232,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         raise InvalidConfigError(["rag_eval requires endpoints.generate"])
     if not config.holdout_paths:
         raise InvalidConfigError(["rag_eval requires pairs.holdout_paths (the test files)"])
-    manifest = _stage_ingest(runner, config)
-    pairs = _stage_scopes_and_pairs(runner, config, manifest)
-    train, held = _split_holdout(pairs, config, manifest)
+    train, held = _stage_pairs(runner, config)
     tests = [p for p in held if p.kind is PairKind.PRIMARY]
     if not tests:
         raise StageError("rag_eval", ValueError("holdout files produced no test pairs"))
@@ -257,36 +243,40 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     else:
         embedder = ragindex.HashingEmbedder(config.embedding_dimension)
 
-    index_path = runner.out_dir / "train.index"
+    out = runner.out_dir
+    index_path = out / "train.index"
     train_primary = [p for p in train if p.kind is PairKind.PRIMARY]
-
-    def do_index():
-        index = ragindex.index_build(train_primary, embedder)
-        index.save(index_path)
-        return [index_path]
-
-    runner.run_stage("index", do_index, inputs={"pairs": runner.out_dir / "pairs_all.jsonl"})
+    runner.run_stage(
+        "index",
+        lambda: ragindex.index_build(train_primary, embedder).save(index_path),
+        {"pairs": out / "train_pairs.jsonl"},
+        [index_path],
+    )
     index = ragindex.VectorIndex.load(index_path)
 
-    leak_path = runner.out_dir / "leakage_report.jsonl"
+    leak_path = out / "leakage_report.jsonl"
 
     def do_leak():
         report = leakage_scan(train, [(p.pair_id, p.label) for p in tests], config.eot_token)
         write_leakage_report(report, leak_path)
         if report.findings:
             logger.warning("leakage scan found %d finding(s)", len(report.findings))
-        return [leak_path]
 
-    runner.run_stage("leak_scan", do_leak, inputs={"pairs": runner.out_dir / "pairs_all.jsonl"})
+    runner.run_stage(
+        "leak_scan",
+        do_leak,
+        {"train": out / "train_pairs.jsonl", "tests": out / "holdout_pairs.jsonl"},
+        [leak_path],
+    )
 
-    records_path = runner.out_dir / "eval_records.jsonl"
-    report_path = runner.out_dir / "report.csv"
-    predictions_path = runner.out_dir / "predictions.jsonl"
+    records_path = out / "eval_records.jsonl"
+    report_path = out / "report.csv"
+    predictions_path = out / "predictions.jsonl"
 
     def do_eval():
         prompts = []
-        for p in tests:
-            vec = embedder.embed(p.query)
+        vectors = embedder.embed_texts([p.query for p in tests])
+        for p, vec in zip(tests, vectors):
             neighbors = ragindex.knn_search(index, vec, config.n_neighbors) if len(index) else []
             prompt = ragindex.augment_query(
                 p.query, neighbors, index, config.n_neighbors, config.budget_bytes
@@ -310,9 +300,10 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         records = metrics.evaluate(evals)
         metrics.write_records(records, records_path)
         metrics.write_report_csv(metrics.aggregate_report(records), report_path)
-        return [predictions_path, records_path, report_path]
 
-    runner.run_stage("rag_eval", do_eval, inputs={"index": index_path})
+    runner.run_stage(
+        "rag_eval", do_eval, {"index": index_path}, [predictions_path, records_path, report_path]
+    )
 
 
 def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
@@ -327,9 +318,8 @@ def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
         records = metrics.evaluate(tests)
         metrics.write_records(records, records_path)
         metrics.write_report_csv(metrics.aggregate_report(records), report_path)
-        return [records_path, report_path]
 
-    runner.run_stage("eval_only", do, inputs={"predictions": Path(src)})
+    runner.run_stage("eval_only", do, {"predictions": Path(src)}, [records_path, report_path])
 
 
 def run_pipeline(config: PipelineConfig, mode: Mode) -> RunResult:
@@ -352,15 +342,6 @@ def run_pipeline(config: PipelineConfig, mode: Mode) -> RunResult:
         raise InvalidConfigError([f"unknown mode {mode!r}"])
     manifest_path = runner.write_manifest()
     return RunResult(mode=mode, out_dir=out_dir, manifest_path=manifest_path, stages=runner.stages)
-
-
-def _set_by_path(overrides: dict, dotted: str, value) -> dict:
-    cur = overrides
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        cur = cur.setdefault(part, {})
-    cur[parts[-1]] = value
-    return overrides
 
 
 def run_sweep(config: PipelineConfig) -> list[dict]:

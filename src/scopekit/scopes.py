@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 from .ingest import FileRecord
 from .jsonl import read_jsonl, write_jsonl
@@ -289,7 +290,7 @@ def extract_scopes(
 
 # A row is vars() of the dataclass: its fields are exactly the JSONL keys,
 # and str-enum fields serialise as their value.
-_SCOPE_KEYS = tuple(f.name for f in fields(ScopeCandidate))
+_SCOPE_FIELDS = get_type_hints(ScopeCandidate)
 
 
 def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> None:
@@ -297,9 +298,4 @@ def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> None:
 
 
 def read_scopes(path: str | Path) -> list[ScopeCandidate]:
-    out = []
-    for d in read_jsonl(path, required=_SCOPE_KEYS):
-        row = {k: d[k] for k in _SCOPE_KEYS}
-        row["category"] = ScopeCategory(row["category"])
-        out.append(ScopeCandidate(**row))
-    return out
+    return [ScopeCandidate(**{k: d[k] for k in _SCOPE_FIELDS}) for d in read_jsonl(path, _SCOPE_FIELDS)]

@@ -274,7 +274,7 @@ def test_accept_pair_contiguity(capfd, fixture_export, real_repo_export):
 def test_accept_holdout_and_leakage(capfd, fixture_export):
     with accept(capfd, "holdout exclusion + leakage detection (20/20 planted, 0 disjoint)"):
         _, out = fixture_export
-        pairs = read_pairs(out / "pairs_all.jsonl")
+        pairs = read_pairs(out / "train_pairs.jsonl")  # the fixture export holds nothing out
         manifest_rows = [
             json.loads(line)
             for line in (out / "ingest" / "manifest.jsonl").read_text().splitlines()[1:]

@@ -84,11 +84,36 @@ def test_stage_chain_matches_pipeline_on_duplicate_content(tmp_path):
     result = run_pipeline(cfg, Mode.FT_EXPORT)
     cli_bytes = (out / "pairs.jsonl").read_bytes()
     assert cli_bytes
-    assert cli_bytes == (result.out_dir / "pairs_all.jsonl").read_bytes()
+    assert cli_bytes == (result.out_dir / "train_pairs.jsonl").read_bytes()
     assert (out / "scopes.jsonl").read_bytes() == (result.out_dir / "scopes.jsonl").read_bytes()
     assert run(
         ["index", "build", "--pairs", out / "pairs.jsonl", "--dimension", 32, "--out", out / "t.index"]
     ) == EXIT_OK
+
+
+def test_holdout_split_partitions_the_cli_pairs(tmp_path, repo):
+    """train_pairs + holdout_pairs hold each pair of the CLI's `pairs` once,
+    and the CLI's `pairs` with the same holdout writes train_pairs."""
+    out = tmp_path / "work"
+    out.mkdir()
+    assert run(["ingest", "--root", repo, "--out", out / "ingest"]) == EXIT_OK
+    assert run(["scopes", "--manifest", out / "ingest", "--out", out / "scopes.jsonl"]) == EXIT_OK
+    pairs_argv = ["pairs", "--scopes", out / "scopes.jsonl", "--manifest", out / "ingest",
+                  "--random-starts", 2, "--seed", 4]
+    assert run(pairs_argv + ["--out", out / "all.jsonl"]) == EXIT_OK
+    (tmp_path / "holdout.txt").write_text("src/beta.c\n")
+    assert run(pairs_argv + ["--holdout", tmp_path / "holdout.txt", "--out", out / "train.jsonl"]) == EXIT_OK
+    cfg = PipelineConfig(
+        repo_root=repo, output_dir=tmp_path / "run", random_starts=2, seed=4, holdout_paths=("src/beta.c",)
+    )
+    result = run_pipeline(cfg, Mode.FT_EXPORT)
+    train = (result.out_dir / "train_pairs.jsonl").read_text().splitlines()
+    held = (result.out_dir / "holdout_pairs.jsonl").read_text().splitlines()
+    assert train and held
+    train_ids = {json.loads(row)["pair_id"] for row in train}
+    assert not train_ids & {json.loads(row)["pair_id"] for row in held}
+    assert sorted(train + held) == sorted((out / "all.jsonl").read_text().splitlines())
+    assert (result.out_dir / "train_pairs.jsonl").read_bytes() == (out / "train.jsonl").read_bytes()
 
 
 def test_index_query_roundtrip(tmp_path, repo, capsys, monkeypatch):
@@ -333,6 +358,60 @@ def _array_leak_scan_row(tmp_path, repo):
     return argv, f"{tests_file}:1: expected a JSON object, got list"
 
 
+def _eval_prediction_not_string(tmp_path, repo):
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text('{"test_id": "a", "prediction": 5, "ground_truth": "x"}\n')
+    return _eval_argv(tmp_path, tests_file), f"{tests_file}:1: prediction: expected str, got int"
+
+
+def _predict_prompt_not_string(tmp_path, repo):
+    tests_file = tmp_path / "prompts.jsonl"
+    tests_file.write_text('{"test_id": "a", "prompt": ["p"]}\n')
+    argv = ["predict", "--endpoint", "http://127.0.0.1:9/generate", "--tests", tests_file,
+            "--out", tmp_path / "p.jsonl"]
+    return argv, f"{tests_file}:1: prompt: expected str, got list"
+
+
+def _leak_scan_label_not_string(tmp_path, repo):
+    train = tmp_path / "train.jsonl"
+    train.write_text("")
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text('{"test_id": "a", "label": 5}\n')
+    argv = ["leak-scan", "--train", train, "--tests", tests_file, "--out", tmp_path / "l.jsonl"]
+    return argv, f"{tests_file}:1: label: expected str or NoneType, got int"
+
+
+def _pairs_bogus_kind(tmp_path, repo):
+    row = {"pair_id": "p", "query": "q", "label": "l", "mask_len": 1, "kind": "bogus",
+           "start_shift_bytes": 0, "category": "if_body", "file_id": "f", "scope_start_byte": 0,
+           "eot_token": "<|endoftext|>"}
+    pairs_file = tmp_path / "pairs.jsonl"
+    pairs_file.write_text("\n" + json.dumps(row) + "\n")
+    argv = ["index", "build", "--pairs", pairs_file, "--out", tmp_path / "t.index"]
+    return argv, f"{pairs_file}:2: kind: 'bogus' is not a valid PairKind"
+
+
+def _scopes_bogus_category(tmp_path, repo):
+    run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
+    row = {"file_id": "f", "category": "bogus", "start_byte": 0, "end_byte": 1, "depth": 0,
+           "size_bytes": 1, "prefix_available_bytes": 0}
+    scopes_file = tmp_path / "scopes.jsonl"
+    scopes_file.write_text(json.dumps(row) + "\n")
+    argv = ["pairs", "--scopes", scopes_file, "--manifest", tmp_path / "ingest", "--out", tmp_path / "p.jsonl"]
+    return argv, f"{scopes_file}:1: category: 'bogus' is not a valid ScopeCategory"
+
+
+def _manifest_bad_byte_len(tmp_path, repo):
+    run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
+    manifest = tmp_path / "ingest" / "manifest.jsonl"
+    header, first, *rest = manifest.read_text().splitlines()
+    row = json.loads(first)
+    row["byte_len"] = str(row["byte_len"])
+    manifest.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+    argv = ["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "s.jsonl"]
+    return argv, f"{manifest}:2: byte_len: expected int, got str"
+
+
 def _empty_manifest(tmp_path, repo):
     (tmp_path / "ingest").mkdir()
     (tmp_path / "ingest" / "manifest.jsonl").write_text("")
@@ -349,6 +428,12 @@ def _empty_manifest(tmp_path, repo):
         _array_leak_scan_row,
         _empty_manifest,
         _cross_manifest_pairs,
+        _eval_prediction_not_string,
+        _predict_prompt_not_string,
+        _leak_scan_label_not_string,
+        _pairs_bogus_kind,
+        _scopes_bogus_category,
+        _manifest_bad_byte_len,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -358,6 +443,24 @@ def test_malformed_input_is_one_error_line(tmp_path, repo, capsys, case):
     assert run(argv) == EXIT_FAILURE
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and expected in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["leak-scan", "--train", "t.jsonl", "--tests", "x.jsonl", "--out", "l.jsonl"],
+        ["index", "build", "--pairs", "p.jsonl", "--out", "t.index"],
+        ["index", "query", "--index", "t.index"],
+        ["predict", "--endpoint", "http://127.0.0.1:9/generate", "--tests", "x.jsonl", "--out", "p.jsonl"],
+        ["eval", "--tests", "x.jsonl", "--out", "r.jsonl", "--report", "r.csv"],
+    ],
+    ids=["leak-scan", "index-build", "index-query", "predict", "eval"],
+)
+def test_config_flag_rejected_where_unused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--config", tmp_path / "absent.json"])  # argparse stops before any file is read
+    assert exc.value.code == 2  # argparse usage error
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_ingest_missing_root_is_failure(tmp_path, capsys):

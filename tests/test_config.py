@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from scopekit.cli import EXIT_CONFIG, main
 from scopekit.config import PipelineConfig, load_config
 from scopekit.errors import InvalidConfigError
 from scopekit.ingest import Language
@@ -109,6 +110,38 @@ def test_all_problems_reported_at_once(tmp_path):
         "surprise",
     ):
         assert frag in msg, f"missing {frag!r} in: {msg}"
+
+
+@pytest.mark.parametrize(
+    "patch, problem",
+    [
+        ({"pairs": {"holdout_paths": "ring_buffer.c"}}, "pairs.holdout_paths must be a list of strings"),
+        ({"pairs": {"logging_patterns": "log"}}, "pairs.logging_patterns must be a list of strings"),
+        ({"exclude_globs": "build/*"}, "exclude_globs must be a list of strings"),
+        ({"filters": {"exclude_keywords": "TODO"}}, "filters.exclude_keywords must be a list of strings"),
+        ({"pairs": {"include_closing_delimiter": "false"}}, "pairs.include_closing_delimiter must be true or false"),
+        ({"pairs": {"seed": True}}, "pairs.seed must be an integer"),
+        ({"rag": {"embedder": 5}}, "rag.embedder must be a string"),
+        ({"pairs": [1]}, "pairs must be a JSON object"),
+        ({"generation": {"timeout_s": "abc"}}, "generation.timeout_s must be a positive number"),
+        ({"generation": {"max_new_tokens": "many"}}, "generation.max_new_tokens must be an integer >= 1"),
+        ({"endpoints": {"generate": 5}}, "endpoints.generate must be a URL string"),
+    ],
+)
+def test_wrong_value_type_is_a_config_problem(tmp_path, capsys, patch, problem):
+    path = write_cfg(tmp_path, {**minimal(tmp_path), **patch})
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [problem]
+    assert main(["run", "--config", str(path), "--mode", "ft_export"]) == EXIT_CONFIG
+    assert f"config error: {problem}" in capsys.readouterr().err
+
+
+def test_null_means_default(tmp_path):
+    payload = minimal(tmp_path)
+    payload.update({"pairs": {"seed": None, "holdout_paths": None}, "endpoints": {"generate": None}})
+    cfg = load_config(write_cfg(tmp_path, payload))
+    assert cfg.seed == 0 and cfg.holdout_paths == () and cfg.generate_endpoint is None
 
 
 def test_missing_required_keys(tmp_path):

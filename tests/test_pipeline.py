@@ -37,12 +37,14 @@ def test_ft_export_artifacts(tmp_path):
     for rel in (
         "ingest/manifest.jsonl",
         "scopes.jsonl",
-        "pairs_all.jsonl",
         "train_pairs.jsonl",
+        "holdout_pairs.jsonl",
         "dataset_card.json",
         "run_manifest.json",
     ):
         assert (out / rel).is_file(), rel
+    assert (out / "holdout_pairs.jsonl").read_bytes() == b""  # nothing held out
+    assert not (out / "pairs_all.jsonl").exists()
     train = read_pairs(out / "train_pairs.jsonl")
     assert train, "expected training pairs from the synthetic repo"
     card = json.loads((out / "dataset_card.json").read_text())
@@ -94,8 +96,8 @@ def test_ft_export_holdout_excluded(tmp_path):
     assert held_ids
     train = read_pairs(result.out_dir / "train_pairs.jsonl")
     assert train and all(p.file_id not in held_ids for p in train)
-    everything = read_pairs(result.out_dir / "pairs_all.jsonl")
-    assert any(p.file_id in held_ids for p in everything)
+    held = read_pairs(result.out_dir / "holdout_pairs.jsonl")
+    assert held and all(p.file_id in held_ids for p in held)
 
 
 def test_run_manifest_hashes_recompute(tmp_path):
@@ -267,6 +269,32 @@ def test_rag_eval_end_to_end(tmp_path, stub_service):
     ]
     assert gen_requests and gen_requests[0].endswith("int held_fn(int step) {")
     assert "/* retrieved example 1 */" in gen_requests[0]
+
+
+def test_rag_eval_embeds_all_queries_in_one_call(tmp_path, stub_service):
+    root = tmp_path / "repo"
+    write_repo(
+        root,
+        {
+            "src/mod_0.c": "/* module 0 */\n" + c_file_with_scopes(3),
+            "src/held.c": "/* held */\n" + c_file_with_scopes(3),
+        },
+    )
+    cfg = PipelineConfig(
+        repo_root=root,
+        output_dir=tmp_path / "out",
+        holdout_paths=("src/held.c",),
+        embedder=f"remote:{stub_service.base_url}",
+        embedding_dimension=stub_service.dim,
+        generate_endpoint=stub_service.generate_url,
+    )
+    run_pipeline(cfg, Mode.RAG_EVAL)
+    tests = [p for p in read_pairs(tmp_path / "out" / "holdout_pairs.jsonl") if p.kind.value == "primary"]
+    assert len(tests) > 1
+    embed_calls = [r["body"]["texts"] for r in stub_service.requests_seen if r["path"].endswith("/embed")]
+    # one call builds the index, one embeds every test query
+    assert len(embed_calls) == 2
+    assert embed_calls[1] == [p.query for p in tests]
 
 
 def test_rag_eval_requires_endpoint_and_holdout(tmp_path, stub_service):
