@@ -9,7 +9,7 @@ classification, printing what the machinery sees at each step.
 import tempfile
 from pathlib import Path
 
-from scopekit import ingest_repository, scan_delimiters, extract_scopes
+from scopekit import ingest_repository, scan, extract_scopes
 
 SAMPLE = """\
 #include <stdio.h>
@@ -45,7 +45,7 @@ print(f"ingested {record.repo_relative_path}: {record.byte_len} bytes,"
 # Delimiter matching pairs every brace and parenthesis while treating
 # comments, string literals, and preprocessor lines as opaque. The brace
 # inside the comment and the one inside the string never show up.
-spans = scan_delimiters(record)
+spans = scan(record.content, record.language).pairs
 print(f"\n{len(spans)} matched delimiter pairs:")
 for span in spans:
     snippet = record.content[span.open_offset : span.close_offset + 1]

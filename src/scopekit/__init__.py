@@ -36,7 +36,7 @@ from .ragindex import (
     index_build,
     knn_search,
 )
-from .scopes import ScopeCandidate, ScopeCategory, classify_scope, extract_scopes, scan_delimiters
+from .scopes import ScopeCandidate, ScopeCategory, extract_scopes
 
 __all__ = [
     "CategoryReport",
@@ -56,7 +56,6 @@ __all__ = [
     "aggregate_report",
     "apply_filters",
     "augment_query",
-    "classify_scope",
     "detect_language",
     "evaluate",
     "exclude_holdout",
@@ -70,5 +69,4 @@ __all__ = [
     "make_random_start_pairs",
     "opt_prefix_distance",
     "scan",
-    "scan_delimiters",
 ]

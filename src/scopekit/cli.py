@@ -14,22 +14,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, parse_config, read_config
 from .errors import InvalidConfigError, ScopekitError
-from .ingest import DEFAULT_MAX_FILE_BYTES, Language, ingest_repository, load_manifest, write_manifest
+from .ingest import ingest_repository, load_manifest, write_manifest
 from .jsonl import read_jsonl
-from .metrics import aggregate_report, evaluate, read_tests_jsonl, write_records, write_report_csv
-from .pairs import (
-    DEFAULT_EOT_TOKEN,
-    FilterConfig,
-    exclude_holdout,
-    leakage_scan,
-    read_pairs,
-    write_leakage_report,
-    write_pairs,
-)
+from .metrics import read_tests_jsonl, score_to_files
+from .pairs import exclude_holdout, leakage_scan, read_pairs, write_leakage_report, write_pairs
 from .pipeline import Mode, build_pairs, extract_all_scopes, run_pipeline, run_sweep
-from .ragindex import HashingEmbedder, RemoteEmbedder, VectorIndex, augment_query, index_build, knn_search
+from .ragindex import VectorIndex, augment_query, index_build, knn_search, make_embedder
 from .scopes import read_scopes, write_scopes
 
 logger = logging.getLogger(__name__)
@@ -38,39 +30,57 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
+# The config key each setting flag (by argparse dest) sets. A command's
+# settings are its --config file, or no file, with these flags laid over
+# it, parsed by config.parse_config: a flag gets the checks and the
+# default of its key, as in the file.
+_SETTING_FLAGS = {
+    "lang": "languages", "exclude": "exclude_globs", "max_file_bytes": "max_file_bytes",
+    "predictions": "predictions_path",
+    "min_scope_bytes": "filters.min_scope_bytes", "max_scope_bytes": "filters.max_scope_bytes",
+    "min_prefix_bytes": "filters.min_prefix_bytes", "max_prefix_bytes": "filters.max_prefix_bytes",
+    "max_depth": "filters.max_depth",
+    "logging_pattern": "pairs.logging_patterns", "holdout": "pairs.holdout_paths",
+    "random_starts": "pairs.random_starts", "seed": "pairs.seed", "eot_token": "pairs.eot_token",
+    "embedder": "rag.embedder", "dimension": "rag.dimension", "top": "rag.n_neighbors",
+    "budget_bytes": "rag.budget_bytes",
+    "endpoint": "endpoints.generate",
+    "max_new_tokens": "generation.max_new_tokens", "timeout": "generation.timeout_s",
+}
 
-def _existing_config(path: str | None) -> PipelineConfig | None:
-    return load_config(path) if path else None
+
+def _config(args) -> PipelineConfig:
+    """The command's settings; a file needs its paths, as for `run`."""
+    path = getattr(args, "config", None)
+    raw = read_config(path) if path else {}
+    for dest, key in _SETTING_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        section, _, name = key.rpartition(".")
+        if section and raw.get(section) is None:
+            raw[section] = {}
+        target = raw[section] if section else raw
+        if isinstance(target, dict):  # else parse_config reports the section
+            target[name] = value
+    return parse_config(raw, paths_required=path is not None)
 
 
-def _make_embedder(spec: str, dimension: int):
-    if spec == "builtin":
-        return HashingEmbedder(dimension)
-    if spec.startswith("remote:"):
-        return RemoteEmbedder(spec[len("remote:") :], dimension)
-    raise InvalidConfigError([f"embedder must be 'builtin' or 'remote:<url>', got {spec!r}"])
+def _nonblank_lines(path: str) -> list[str]:
+    """The stripped non-blank lines of a file (a --holdout list)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 def _cmd_ingest(args) -> int:
-    cfg = _existing_config(args.config)
-    root = args.root or (cfg.repo_root if cfg else None)
+    cfg = _config(args)
+    root = args.root or (cfg.repo_root if args.config else None)
     if not root:
         raise InvalidConfigError(["--root (or a config with repo_root) is required"])
-    languages = (
-        {Language(v) for v in args.lang.split(",")}
-        if args.lang
-        else set(cfg.languages)
-        if cfg
-        else {Language.C_CPP, Language.JAVA}
-    )
-    excludes = tuple(args.exclude or (cfg.exclude_globs if cfg else ()))
-    manifest = ingest_repository(
-        root,
-        languages,
-        excludes,
-        max_file_bytes=args.max_file_bytes
-        or (cfg.max_file_bytes if cfg else DEFAULT_MAX_FILE_BYTES),
-    )
+    manifest = ingest_repository(root, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
     path = write_manifest(manifest, args.out)
     print(f"ingested {len(manifest.files)} files -> {path}")
     for lang, n in sorted(manifest.counts.items()):
@@ -79,11 +89,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_scopes(args) -> int:
-    cfg = _existing_config(args.config)
+    cfg = _config(args)
     manifest = load_manifest(args.manifest)
-    patterns = tuple(args.logging_pattern or (cfg.logging_patterns if cfg else ())) or None
     diagnostics: list[str] = []
-    all_cands = extract_all_scopes(manifest, patterns, diagnostics=diagnostics)
+    all_cands = extract_all_scopes(manifest, cfg.logging_patterns, diagnostics=diagnostics)
     write_scopes(all_cands, args.out)
     for d in diagnostics:
         print(f"warning: {d}", file=sys.stderr)
@@ -91,23 +100,8 @@ def _cmd_scopes(args) -> int:
     return EXIT_OK
 
 
-def _filter_from_args(args, cfg: PipelineConfig | None) -> FilterConfig:
-    base = cfg.filters if cfg else FilterConfig()
-    overrides = {}
-    for name in ("min_scope_bytes", "max_scope_bytes", "min_prefix_bytes", "max_prefix_bytes", "max_depth"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        import dataclasses
-
-        base = dataclasses.replace(base, **overrides)
-    base.validate()
-    return base
-
-
 def _cmd_pairs(args) -> int:
-    cfg = _existing_config(args.config)
+    cfg = _config(args)
     manifest = load_manifest(args.manifest)
     candidates = read_scopes(args.scopes)
     records = manifest.record_by_id()
@@ -117,74 +111,73 @@ def _cmd_pairs(args) -> int:
     pairs = build_pairs(
         candidates,
         records,
-        _filter_from_args(args, cfg),
-        args.eot_token or (cfg.eot_token if cfg else DEFAULT_EOT_TOKEN),
-        random_starts=args.random_starts if args.random_starts is not None else (cfg.random_starts if cfg else 1),
-        seed=args.seed if args.seed is not None else (cfg.seed if cfg else 0),
-        include_closer=cfg.include_closing_delimiter if cfg else True,
+        cfg.filters,
+        cfg.eot_token,
+        random_starts=cfg.random_starts,
+        seed=cfg.seed,
+        include_closer=cfg.include_closing_delimiter,
     )
-    holdout = list(cfg.holdout_paths) if cfg else []
-    if args.holdout:
-        holdout = [line.strip() for line in Path(args.holdout).read_text(encoding="utf-8").splitlines() if line.strip()]
-    if holdout:
-        path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
-        pairs = exclude_holdout(pairs, holdout, path_by_id)
+    path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
+    pairs = exclude_holdout(pairs, cfg.holdout_paths, path_by_id)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} pairs -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_leak_scan(args) -> int:
+    cfg = _config(args)
     train = read_pairs(args.train)
-    tests = []
     schema = {"pair_id": (str, int), "test_id": (str, int), "label": (str, type(None)), "ground_truth": str}
-    for d in read_jsonl(args.tests, schema, optional=schema):
-        test_id = d.get("pair_id") or d.get("test_id") or "?"
-        label = d.get("label") if d.get("label") is not None else d.get("ground_truth", "")
-        tests.append((str(test_id), label))
-    report = leakage_scan(train, tests, args.eot_token)
+    rows = read_jsonl(args.tests, schema, optional=schema, one_of=[("pair_id", "test_id"), ("label", "ground_truth")])
+    tests = [
+        (str(d.get("pair_id", d.get("test_id"))), d["ground_truth"] if d.get("label") is None else d["label"])
+        for d in rows
+    ]
+    report = leakage_scan(train, tests, cfg.eot_token)
     write_leakage_report(report, args.out)
     print(f"{len(report.findings)} leakage finding(s) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_index_build(args) -> int:
+    cfg = _config(args)
     pairs = [p for p in read_pairs(args.pairs) if p.kind.value == "primary"]
-    embedder = _make_embedder(args.embedder, args.dimension)
-    index = index_build(pairs, embedder)
+    index = index_build(pairs, make_embedder(cfg.embedder, cfg.embedding_dimension))
     index.save(args.out)
     print(f"indexed {len(index)} entries (dim {index.dimension}) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_index_query(args) -> int:
+    cfg = _config(args)
     index = VectorIndex.load(args.index)
-    embedder = _make_embedder(args.embedder, index.dimension)
+    embedder = make_embedder(cfg.embedder, index.dimension)
     if embedder.embedder_id != index.embedder_id:
         raise InvalidConfigError(
             [f"index was built with {index.embedder_id!r}, queries need that embedder, got {embedder.embedder_id!r}"]
         )
     query = sys.stdin.read()
     vec = embedder.embed(query)
-    results = knn_search(index, vec, args.top)
+    results = knn_search(index, vec, cfg.n_neighbors)
     print(json.dumps([{"pair_id": pid, "similarity": sim} for pid, sim in results], indent=2))
     if args.augment:
-        print(augment_query(query, results, index, args.top, args.budget_bytes))
+        print(augment_query(query, results, index, cfg.n_neighbors, cfg.budget_bytes))
     return EXIT_OK
 
 
 def _cmd_predict(args) -> int:
     from .client import GenerationRequest, batch_predict, write_predictions
 
+    cfg = _config(args)
     tests = [(str(d["test_id"]), d["prompt"]) for d in read_jsonl(args.tests, {"test_id": (str, int), "prompt": str})]
     template = GenerationRequest(
         prompt="",
-        max_new_tokens=args.max_new_tokens,
-        stop_sequences=tuple(args.stop or (DEFAULT_EOT_TOKEN,)),
+        max_new_tokens=cfg.gen_max_new_tokens,
+        stop_sequences=tuple(args.stop or (cfg.eot_token,)),
         temperature=args.temperature,
-        timeout=args.timeout,
+        timeout=cfg.gen_timeout_s,
     )
-    outcomes = batch_predict(args.endpoint, tests, template, max_in_flight=args.max_in_flight)
+    outcomes = batch_predict(cfg.generate_endpoint, tests, template, max_in_flight=args.max_in_flight)
     write_predictions(outcomes, args.out)
     failures = sum(1 for o in outcomes if o.error)
     print(f"{len(outcomes) - failures} prediction(s), {failures} failure(s) -> {args.out}")
@@ -193,10 +186,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     tests = read_tests_jsonl(args.tests)
-    records = evaluate(tests, normalize=args.normalize == "ws", as_bytes=args.bytes)
-    write_records(records, args.out)
-    reports = aggregate_report(records)
-    write_report_csv(reports, args.report)
+    reports = score_to_files(tests, args.out, args.report, normalize=args.normalize == "ws", as_bytes=args.bytes)
     for r in reports:
         print(
             f"{r.category}: n={r.n_tests} mean_opt={r.mean_opt:.2f} median_opt={r.median_opt:.2f} "
@@ -206,18 +196,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.predictions:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, predictions_path=Path(args.predictions))
-    result = run_pipeline(cfg, Mode(args.mode))
+    result = run_pipeline(_config(args), Mode(args.mode))
     print(f"run complete -> {result.manifest_path}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     rows = run_sweep(cfg)
     print(f"swept {len(rows)} grid point(s) -> {Path(cfg.output_dir) / 'sweep_summary.json'}")
     return EXIT_OK
@@ -231,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="walk a repository into a content-addressed manifest")
     p.add_argument("--root", help="repository root directory")
-    p.add_argument("--lang", help="comma-separated languages (c_cpp,java)")
+    p.add_argument("--lang", type=lambda v: v.split(","), help="comma-separated languages (c_cpp,java)")
     p.add_argument("--exclude", action="append", help="exclude glob (repeatable)")
     p.add_argument("--max-file-bytes", type=int, dest="max_file_bytes")
     p.add_argument("--config", help="pipeline config file")
@@ -249,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scopes", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--holdout", help="file listing repo-relative holdout paths")
+    p.add_argument("--holdout", type=_nonblank_lines, help="file listing repo-relative holdout paths")
     p.add_argument("--random-starts", type=int, dest="random_starts")
     p.add_argument("--seed", type=int)
     p.add_argument("--eot-token", dest="eot_token")
@@ -261,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("leak-scan", help="scan training pairs for test-label leakage")
     p.add_argument("--train", required=True, help="training pairs JSONL")
     p.add_argument("--tests", required=True, help="JSONL with pair_id/test_id and label/ground_truth")
-    p.add_argument("--eot-token", dest="eot_token", default=DEFAULT_EOT_TOKEN)
+    p.add_argument("--eot-token", dest="eot_token")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_leak_scan)
 
@@ -269,25 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
     isub = p.add_subparsers(dest="index_command", required=True)
     b = isub.add_parser("build")
     b.add_argument("--pairs", required=True)
-    b.add_argument("--embedder", default="builtin")
-    b.add_argument("--dimension", type=int, default=384)
+    b.add_argument("--embedder")
+    b.add_argument("--dimension", type=int)
     b.add_argument("--out", required=True)
     b.set_defaults(fn=_cmd_index_build)
     q = isub.add_parser("query")
     q.add_argument("--index", required=True)
-    q.add_argument("--embedder", default="builtin")
-    q.add_argument("--top", type=int, default=3)
+    q.add_argument("--embedder")
+    q.add_argument("--top", type=int)
     q.add_argument("--augment", action="store_true", help="print the augmented prompt")
-    q.add_argument("--budget-bytes", type=int, dest="budget_bytes", default=6144)
+    q.add_argument("--budget-bytes", type=int, dest="budget_bytes")
     q.set_defaults(fn=_cmd_index_query)
 
     p = sub.add_parser("predict", help="send prompts to a generation endpoint")
     p.add_argument("--endpoint", required=True)
     p.add_argument("--tests", required=True, help="JSONL of {test_id, prompt}")
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens", default=256)
+    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
     p.add_argument("--stop", action="append")
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--timeout", type=float, default=120.0)
+    p.add_argument("--timeout", type=float)
     p.add_argument("--max-in-flight", type=int, dest="max_in_flight", default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_predict)

@@ -33,7 +33,7 @@ class Language(str, Enum):
     OTHER = "other"
 
 
-# Extension table is config-overridable; keys must be lowercase.
+# Lowercase extension -> language.
 DEFAULT_EXTENSION_TABLE = {
     ".c": Language.C_CPP,
     ".h": Language.C_CPP,
@@ -46,10 +46,10 @@ DEFAULT_EXTENSION_TABLE = {
 }
 
 
-def detect_language(path: str | os.PathLike, table: dict[str, Language] | None = None) -> Language:
+def detect_language(path: str | os.PathLike) -> Language:
     """Map a filename to a Language by extension, case-insensitively."""
     ext = os.path.splitext(str(path))[1].lower()
-    return (table or DEFAULT_EXTENSION_TABLE).get(ext, Language.OTHER)
+    return DEFAULT_EXTENSION_TABLE.get(ext, Language.OTHER)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +114,6 @@ def ingest_repository(
     exclude_globs: tuple[str, ...] = (),
     *,
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
-    extension_table: dict[str, Language] | None = None,
 ) -> IngestManifest:
     """Walk ``root`` and build a manifest of selected source files.
 
@@ -136,7 +135,7 @@ def ingest_repository(
             path = Path(dirpath) / name
             if path.is_symlink():
                 continue
-            lang = detect_language(name, extension_table)
+            lang = detect_language(name)
             if lang not in languages or lang is Language.OTHER:
                 continue
             rel = path.relative_to(rootp).as_posix()

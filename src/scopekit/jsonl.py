@@ -19,8 +19,9 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collection[str], where: str) -> None:
+def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collection[str], one_of, where: str) -> None:
     missing = [k for k in schema if k not in row and k not in optional]
+    missing += [" or ".join(keys) for keys in one_of if all(row.get(k) is None for k in keys)]
     if missing:
         raise ValueError(f"{where}: missing key(s): {', '.join(missing)}")
     for key, kind in schema.items():
@@ -38,13 +39,14 @@ def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collecti
 
 
 def read_jsonl(
-    path: str | Path, schema: Mapping[str, type | tuple] = {}, *, optional: Collection[str] = (), header=None
+    path: str | Path, schema: Mapping[str, type | tuple] = {}, *, optional: Collection = (), one_of=(), header=None
 ) -> list[dict]:
     """The objects of a JSONL file, skipping blank lines.
 
     ``schema`` maps a key to its class, a tuple of classes, or an Enum class
     (the value is converted to its member); a bool is no int. Each row
-    holds every schema key not in ``optional``, each of the right type. A
+    holds every schema key not in ``optional``, each of the right type, and
+    a non-null value for at least one key of each tuple in ``one_of``. A
     ``header`` schema, when given, checks the first row instead. Raises
     ValueError naming ``path:line`` for invalid JSON, a row that is not an
     object, a missing key or a value of the wrong type.
@@ -61,8 +63,8 @@ def read_jsonl(
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
             if header is not None and not rows:
-                _check_row(row, header, (), f"{path}:{lineno}")
+                _check_row(row, header, (), (), f"{path}:{lineno}")
             else:
-                _check_row(row, schema, optional, f"{path}:{lineno}")
+                _check_row(row, schema, optional, one_of, f"{path}:{lineno}")
             rows.append(row)
     return rows

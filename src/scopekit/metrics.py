@@ -167,6 +167,16 @@ def write_report_csv(reports: Iterable[CategoryReport], path: str | Path) -> Non
             )
 
 
+def score_to_files(tests, records_path: str | Path, report_path: str | Path, **options) -> list[CategoryReport]:
+    """evaluate(tests, **options), written as records JSONL and per-category
+    CSV; returns the per-category reports."""
+    records = evaluate(tests, **options)
+    write_records(records, records_path)
+    reports = aggregate_report(records)
+    write_report_csv(reports, report_path)
+    return reports
+
+
 def read_tests_jsonl(path: str | Path) -> list[tuple[str, str, str, str]]:
     """Read eval inputs: JSONL of {test_id, category, prediction, ground_truth}."""
     schema = {"test_id": (str, int), "category": str, "prediction": str, "ground_truth": str}

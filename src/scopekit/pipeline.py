@@ -10,7 +10,6 @@ predictions file.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import client, metrics, ragindex
-from .config import PipelineConfig
+from .config import PipelineConfig, sweep_points
 from .errors import InvalidConfigError, StageError
 from .ingest import FileRecord, IngestManifest, ingest_repository, write_manifest
 from .pairs import (
@@ -76,13 +75,15 @@ class _Runner:
         self.out_dir = out_dir
         self.mode = mode
         self.stages: list[StageRecord] = []
+        self.written: dict[Path, str] = {}  # sha256 of each output written so far
 
     def run_stage(self, name: str, fn, inputs: dict[str, Path], outputs: list[Path]):
-        """Run fn, record the hashes of inputs and outputs, return fn's value."""
+        """Run fn, record the hashes of inputs and outputs, return fn's value;
+        an input an earlier stage wrote keeps the hash taken when written."""
         rec = StageRecord(
             stage=name,
             status="failed",
-            inputs={k: _sha256_file(p) for k, p in inputs.items() if p.is_file()},
+            inputs={k: self.written.get(p) or _sha256_file(p) for k, p in inputs.items() if p.is_file()},
         )
         self.stages.append(rec)
         try:
@@ -90,7 +91,8 @@ class _Runner:
         except Exception as exc:
             self.write_manifest()
             raise StageError(name, exc) from exc
-        rec.outputs = {str(p.relative_to(self.out_dir)): _sha256_file(p) for p in outputs}
+        self.written.update((p, _sha256_file(p)) for p in outputs)
+        rec.outputs = {str(p.relative_to(self.out_dir)): self.written[p] for p in outputs}
         rec.status = "complete"
         return value
 
@@ -237,12 +239,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     if not tests:
         raise StageError("rag_eval", ValueError("holdout files produced no test pairs"))
 
-    embed_url = config.embed_endpoint()
-    if embed_url:
-        embedder = ragindex.RemoteEmbedder(embed_url, config.embedding_dimension)
-    else:
-        embedder = ragindex.HashingEmbedder(config.embedding_dimension)
-
+    embedder = ragindex.make_embedder(config.embedder, config.embedding_dimension)
     out = runner.out_dir
     index_path = out / "train.index"
     train_primary = [p for p in train if p.kind is PairKind.PRIMARY]
@@ -297,9 +294,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
                 continue
             pair = by_id[o.test_id]
             evals.append((o.test_id, pair.category.value, o.result.text, pair.label_without_eot()))
-        records = metrics.evaluate(evals)
-        metrics.write_records(records, records_path)
-        metrics.write_report_csv(metrics.aggregate_report(records), report_path)
+        metrics.score_to_files(evals, records_path, report_path)
 
     runner.run_stage(
         "rag_eval", do_eval, {"index": index_path}, [predictions_path, records_path, report_path]
@@ -314,10 +309,7 @@ def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
     report_path = runner.out_dir / "report.csv"
 
     def do():
-        tests = metrics.read_tests_jsonl(src)
-        records = metrics.evaluate(tests)
-        metrics.write_records(records, records_path)
-        metrics.write_report_csv(metrics.aggregate_report(records), report_path)
+        metrics.score_to_files(metrics.read_tests_jsonl(src), records_path, report_path)
 
     runner.run_stage("eval_only", do, {"predictions": Path(src)}, [records_path, report_path])
 
@@ -352,25 +344,13 @@ def run_sweep(config: PipelineConfig) -> list[dict]:
     """
     if not config.sweep:
         raise InvalidConfigError(["sweep requires a non-empty sweep block"])
-    keys = sorted(config.sweep)
+    problems: list[str] = []
+    points = sweep_points(config.filters, config.sweep, problems)
+    if problems:
+        raise InvalidConfigError(problems)
     rows = []
     base_out = Path(config.output_dir)
-    for i, combo in enumerate(itertools.product(*(config.sweep[k] for k in keys))):
-        point = dict(zip(keys, combo))
-        filt = config.filters
-        for dotted, value in point.items():
-            if dotted.startswith("filters."):
-                name = dotted[len("filters.") :]
-                if name == "category_allowlist" and value is not None:
-                    from .scopes import ScopeCategory
-
-                    value = frozenset(ScopeCategory(v) for v in value)
-                if name == "exclude_keywords":
-                    value = tuple(value)
-                filt = replace(filt, **{name: value})
-            else:
-                raise InvalidConfigError([f"sweep only supports filters.* keys, got {dotted}"])
-        filt.validate()
+    for i, (point, filt) in enumerate(points):
         sub = replace(config, filters=filt, output_dir=base_out / f"sweep_{i:03d}")
         result = run_pipeline(sub, Mode.FT_EXPORT)
         card = json.loads((result.out_dir / "dataset_card.json").read_text(encoding="utf-8"))

@@ -21,6 +21,7 @@ import requests
 from .errors import (
     DimensionMismatchError,
     EmbeddingServiceUnavailableError,
+    InvalidConfigError,
     MalformedResponseError,
 )
 from .pairs import CompletionPair, PairKind
@@ -28,6 +29,7 @@ from .pairs import CompletionPair, PairKind
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 384
+_NGRAM_SIZES = (3, 4)  # HashingEmbedder's; part of its embedder_id, so of every index file
 
 _MAGIC = b"SCOPEIDX"
 _VERSION = 1
@@ -56,15 +58,14 @@ class HashingEmbedder:
     what the index contract needs.
     """
 
-    def __init__(self, dimension: int = DEFAULT_DIMENSION, ngram_sizes: Sequence[int] = (3, 4)):
+    def __init__(self, dimension: int = DEFAULT_DIMENSION):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
-        self.ngram_sizes = tuple(ngram_sizes)
 
     @property
     def embedder_id(self) -> str:
-        grams = "-".join(str(n) for n in self.ngram_sizes)
+        grams = "-".join(str(n) for n in _NGRAM_SIZES)
         return f"builtin-ngram-hash/d{self.dimension}/n{grams}"
 
     def embed(self, text: str) -> np.ndarray:
@@ -75,7 +76,7 @@ class HashingEmbedder:
         acc = np.zeros(self.dimension, dtype=np.float64)
         dim = np.uint64(self.dimension)
         with np.errstate(over="ignore"):
-            for n in self.ngram_sizes:
+            for n in _NGRAM_SIZES:
                 if len(raw) < n:
                     continue
                 codes = np.zeros(len(raw) - n + 1, dtype=np.uint64)
@@ -162,6 +163,15 @@ class RemoteEmbedder:
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             parts = list(pool.map(self._embed_batch, batches))
         return np.concatenate(parts, axis=0)
+
+
+def make_embedder(spec: str, dimension: int = DEFAULT_DIMENSION):
+    """The embedder a ``rag.embedder`` spec names: "builtin" or "remote:<url>"."""
+    if spec == "builtin":
+        return HashingEmbedder(dimension)
+    if spec.startswith("remote:"):
+        return RemoteEmbedder(spec[len("remote:") :], dimension)
+    raise InvalidConfigError([f"rag.embedder must be 'builtin' or 'remote:<url>', got {spec!r}"])
 
 
 @dataclass
@@ -269,22 +279,11 @@ def index_build(pairs: Iterable[CompletionPair], embedder) -> VectorIndex:
     )
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine over float64; defined as 0.0 when either vector is zero."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(av, bv) / (na * nb))
-
-
 def knn_search(index: VectorIndex, query_vec: np.ndarray, n: int) -> list[tuple[str, float]]:
     """Exact top-n by cosine similarity, ties broken by ascending pair_id.
 
     Scans every entry (linear cost); returns fewer than n results only when
-    the index holds fewer entries.
+    the index holds fewer entries. Similarity to a zero vector is 0.0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -230,21 +230,6 @@ def _classify_brace(span: DelimiterSpan, ctx: _FileContext) -> ScopeCategory:
     return ScopeCategory.UNCLASSIFIED
 
 
-def scan_delimiters(record: FileRecord) -> list[DelimiterSpan]:
-    """Matched delimiter pairs of one file, sorted by opener offset."""
-    return scan(record.content, record.language).pairs
-
-
-def classify_scope(record: FileRecord, span: DelimiterSpan, logging_patterns=None) -> ScopeCategory:
-    """Classify one span. Recomputes lex context; batch callers should
-    prefer extract_scopes, which shares context across a file."""
-    patterns = compile_logging_patterns(logging_patterns)
-    ctx = _FileContext(record, scan(record.content, record.language))
-    if span.delimiter == "{":
-        return _classify_brace(span, ctx)
-    return _classify_paren(span, ctx, patterns)
-
-
 def extract_scopes(
     record: FileRecord,
     logging_patterns=None,

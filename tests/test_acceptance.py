@@ -32,7 +32,8 @@ from scopekit.pairs import (
 )
 from scopekit.pipeline import Mode, run_pipeline
 from scopekit.ragindex import HashingEmbedder, VectorIndex, index_build, knn_search
-from scopekit.scopes import extract_scopes, scan_delimiters
+from scopekit.lexer import scan
+from scopekit.scopes import extract_scopes
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 REAL_CORPUS_ENV = "SCOPEKIT_REAL_CORPUS"
@@ -206,7 +207,7 @@ def test_accept_scope_extraction_soundness(capfd):
         keyword_misses = []
         for rec in manifest.files:
             content = rec.content
-            pairs = scan_delimiters(rec)
+            pairs = scan(content, rec.language).pairs
             by_class: dict[str, list] = {"{": [], "(": []}
             for span in pairs:
                 # balanced and byte-slice reconstructible

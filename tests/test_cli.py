@@ -381,6 +381,15 @@ def _leak_scan_label_not_string(tmp_path, repo):
     return argv, f"{tests_file}:1: label: expected str or NoneType, got int"
 
 
+def _leak_scan_row_without_id_or_label(tmp_path, repo):
+    train = tmp_path / "train.jsonl"
+    train.write_text("")
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text('{"foo": 1}\n')
+    argv = ["leak-scan", "--train", train, "--tests", tests_file, "--out", tmp_path / "l.jsonl"]
+    return argv, f"{tests_file}:1: missing key(s): pair_id or test_id, label or ground_truth"
+
+
 def _pairs_bogus_kind(tmp_path, repo):
     row = {"pair_id": "p", "query": "q", "label": "l", "mask_len": 1, "kind": "bogus",
            "start_shift_bytes": 0, "category": "if_body", "file_id": "f", "scope_start_byte": 0,
@@ -431,6 +440,7 @@ def _empty_manifest(tmp_path, repo):
         _eval_prediction_not_string,
         _predict_prompt_not_string,
         _leak_scan_label_not_string,
+        _leak_scan_row_without_id_or_label,
         _pairs_bogus_kind,
         _scopes_bogus_category,
         _manifest_bad_byte_len,
@@ -461,6 +471,44 @@ def test_config_flag_rejected_where_unused(tmp_path, capsys, argv):
         run(argv + ["--config", tmp_path / "absent.json"])  # argparse stops before any file is read
     assert exc.value.code == 2  # argparse usage error
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def _sweep_config(tmp_path, repo, grid):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"repo_root": str(repo), "output_dir": str(tmp_path / "out"), "sweep": grid}))
+    return ["sweep", "--config", cfg]
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["ingest", "--root", "{repo}", "--lang", "other", "--out", "{tmp}/i"], "unknown language 'other'"),
+        (["ingest", "--root", "{repo}", "--lang", "bogus", "--out", "{tmp}/i"], "unknown language 'bogus'"),
+        (["ingest", "--root", "{repo}", "--max-file-bytes", "-5", "--out", "{tmp}/i"], "max_file_bytes must be"),
+        (["pairs", "--scopes", "{tmp}/s.jsonl", "--manifest", "{tmp}/i", "--random-starts", "-1",
+          "--out", "{tmp}/p.jsonl"], "pairs.random_starts must be an integer >= 0"),
+        (["scopes", "--manifest", "{tmp}/i", "--logging-pattern", "(", "--out", "{tmp}/s.jsonl"], "bad regex '('"),
+        (["index", "build", "--pairs", "{tmp}/p.jsonl", "--dimension", "0", "--out", "{tmp}/t.index"],
+         "rag.dimension must be an integer >= 1"),
+        ({"filters.min_scope_bytes": ["abc"]}, "filters.min_scope_bytes must be an integer"),
+        ({"filters.bogus": [1]}, "sweep keys must name a filter"),
+        ({"filters.min_scope_bytes": [0, "x"]}, "filters.min_scope_bytes must be an integer"),
+        ({"filters.exclude_keywords": ["return"]}, "filters.exclude_keywords must be a list of strings"),
+    ],
+    ids=["lang-other", "lang-bogus", "max-file-bytes", "random-starts", "logging-pattern", "dimension",
+         "sweep-type", "sweep-key", "sweep-second-point", "sweep-keywords"],
+)
+def test_bad_setting_is_a_config_error(tmp_path, repo, capsys, argv, problem):
+    if isinstance(argv, dict):
+        argv = _sweep_config(tmp_path, repo, argv)
+    else:
+        argv = [a.format(repo=repo, tmp=tmp_path) for a in argv]
+    capsys.readouterr()
+    assert run(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("config error:") and problem in line for line in err.splitlines()), err
+    assert sorted(p.name for p in tmp_path.iterdir()) in (["cfg.json", "repo"], ["repo"])  # nothing written
 
 
 def test_ingest_missing_root_is_failure(tmp_path, capsys):

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from scopekit.cli import EXIT_CONFIG, main
-from scopekit.config import PipelineConfig, load_config
+from scopekit.config import PipelineConfig, load_config, sweep_points
 from scopekit.errors import InvalidConfigError
 from scopekit.ingest import Language
+from scopekit.pipeline import run_sweep
+from scopekit.ragindex import HashingEmbedder, make_embedder
 from scopekit.scopes import ScopeCategory
 
 
@@ -29,7 +31,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.filters.max_prefix_bytes == 3072
     assert cfg.random_starts == 1 and cfg.seed == 0
     assert cfg.eot_token == "<|endoftext|>"
-    assert cfg.embedder == "builtin" and cfg.embed_endpoint() is None
+    assert cfg.embedder == "builtin" and isinstance(make_embedder(cfg.embedder), HashingEmbedder)
     assert cfg.n_neighbors == 3 and cfg.budget_bytes == 6144
     assert cfg.include_closing_delimiter is True
     assert cfg.generate_endpoint is None
@@ -80,7 +82,7 @@ def test_full_config_roundtrip(tmp_path):
     assert cfg.eot_token == "<EOS>" and cfg.include_closing_delimiter is False
     assert cfg.holdout_paths == ("src/held.c",)
     assert cfg.logging_patterns == ("(?i)mylog",)
-    assert cfg.embed_endpoint() == "http://127.0.0.1:8811"
+    assert make_embedder(cfg.embedder, cfg.embedding_dimension).endpoint == "http://127.0.0.1:8811/embed"
     assert cfg.embedding_dimension == 64
     assert cfg.generate_endpoint == "http://127.0.0.1:8822/generate"
     assert cfg.gen_max_new_tokens == 99 and cfg.gen_timeout_s == 7.5
@@ -193,8 +195,56 @@ def test_embedder_spelling_checked(tmp_path):
 
 def test_programmatic_config_usable_without_file(tmp_path):
     cfg = PipelineConfig(repo_root=tmp_path, output_dir=tmp_path / "out")
-    assert cfg.embed_endpoint() is None
+    assert isinstance(make_embedder(cfg.embedder, cfg.embedding_dimension), HashingEmbedder)
     cfg2 = PipelineConfig(
         repo_root=tmp_path, output_dir=tmp_path / "out", embedder="remote:http://h:1"
     )
-    assert cfg2.embed_endpoint() == "http://h:1"
+    assert make_embedder(cfg2.embedder, cfg2.embedding_dimension).endpoint == "http://h:1/embed"
+
+
+def test_sweep_rejects_non_filter_keys(tmp_path):
+    payload = minimal(tmp_path)
+    payload["sweep"] = {"rag.dimension": [64, 128]}
+    with pytest.raises(InvalidConfigError):
+        load_config(write_cfg(tmp_path, payload))
+    payload["sweep"] = {}
+    with pytest.raises(InvalidConfigError):
+        run_sweep(load_config(write_cfg(tmp_path, payload)))
+
+
+@pytest.mark.parametrize(
+    "sweep, problem",
+    [
+        ({"filters.min_scope_bytes": ["abc"]}, "filters.min_scope_bytes must be an integer"),
+        ({"filters.bogus": [1]}, "sweep keys must name a filter"),
+        ({"filters.min_scope_bytes": [0, "x"]}, "sweep point {'filters.min_scope_bytes': 'x'}"),
+        ({"filters.exclude_keywords": ["return"]}, "filters.exclude_keywords must be a list of strings"),
+        ({"filters.max_scope_bytes": [5], "filters.min_scope_bytes": [0, 10]}, "max_scope_bytes must be >="),
+        ({"filters.category_allowlist": [["nonsense"]]}, "unknown category 'nonsense'"),
+    ],
+)
+def test_bad_sweep_point_fails_at_load(tmp_path, sweep, problem):
+    payload = {**minimal(tmp_path), "sweep": sweep}
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(write_cfg(tmp_path, payload))
+    assert len(err.value.problems) == 1 and problem in err.value.problems[0]
+
+
+def test_sweep_points_parse_like_the_filters_block(tmp_path):
+    payload = minimal(tmp_path)
+    payload["filters"] = {"max_depth": 4, "min_scope_bytes": 7}
+    payload["sweep"] = {
+        "filters.exclude_keywords": [["return"]],
+        "filters.max_depth": [None, 2],
+        "filters.category_allowlist": [["if_body"]],
+    }
+    cfg = load_config(write_cfg(tmp_path, payload))
+    problems = []
+    points = sweep_points(cfg.filters, cfg.sweep, problems)
+    assert problems == []
+    assert [point["filters.max_depth"] for point, _ in points] == [None, 2]
+    for _, filters in points:
+        assert filters.exclude_keywords == ("return",)
+        assert filters.category_allowlist == frozenset({ScopeCategory.IF_BODY})
+        assert filters.min_scope_bytes == 7  # the filters block is the base of every point
+    assert [f.max_depth for _, f in points] == [None, 2]  # null is FilterConfig's default, not the base's

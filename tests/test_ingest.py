@@ -7,7 +7,6 @@ from conftest import write_repo
 
 from scopekit.errors import RootNotFoundError
 from scopekit.ingest import (
-    DEFAULT_EXTENSION_TABLE,
     Language,
     detect_language,
     ingest_repository,
@@ -22,12 +21,6 @@ def test_detect_language_by_extension():
     assert detect_language("Main.java") is Language.JAVA
     assert detect_language("script.py") is Language.OTHER
     assert detect_language("Makefile") is Language.OTHER
-
-
-def test_extension_table_override():
-    table = dict(DEFAULT_EXTENSION_TABLE)
-    table[".inc"] = Language.C_CPP
-    assert detect_language("x.inc", table) is Language.C_CPP
 
 
 def test_ingest_selects_supported_files(tmp_path):

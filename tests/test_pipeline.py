@@ -335,11 +335,12 @@ def test_sweep_grid_runs_ft_export(tmp_path):
     assert counts[(0, 1000)] >= counts[(50, 500)]
 
 
-def test_sweep_rejects_non_filter_keys(tmp_path):
+def test_sweep_checks_every_point_before_running_one(tmp_path):
     cfg = base_config(tmp_path)
-    cfg.sweep = {"rag.dimension": [64, 128]}
-    with pytest.raises(InvalidConfigError):
+    cfg.sweep = {"filters.min_scope_bytes": [0, "x"]}
+    with pytest.raises(InvalidConfigError) as err:
         run_sweep(cfg)
-    cfg.sweep = {}
-    with pytest.raises(InvalidConfigError):
-        run_sweep(cfg)
+    assert err.value.problems == [
+        "sweep point {'filters.min_scope_bytes': 'x'}: filters.min_scope_bytes must be an integer"
+    ]
+    assert not (tmp_path / "out" / "sweep_000").exists()

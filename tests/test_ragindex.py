@@ -18,11 +18,17 @@ from scopekit.ragindex import (
     RemoteEmbedder,
     VectorIndex,
     augment_query,
-    cosine_similarity,
     index_build,
     knn_search,
 )
 from test_pairs import LOOSE, candidate
+
+
+def knn_similarity(a, b) -> float:
+    """The similarity knn_search reports for query a against the one key b."""
+    index = VectorIndex(len(b), "test", ["b"], np.asarray([b], dtype=np.float64), ["B"])
+    [(_, sim)] = knn_search(index, a, 1)
+    return sim
 
 
 def build_index(texts, dim=16):
@@ -63,7 +69,7 @@ def test_embed_empty_text_zero_vector(caplog):
 
 def test_embedder_id_reflects_shape():
     assert HashingEmbedder().embedder_id == "builtin-ngram-hash/d384/n3-4"
-    assert HashingEmbedder(dimension=64, ngram_sizes=(2,)).embedder_id == "builtin-ngram-hash/d64/n2"
+    assert HashingEmbedder(dimension=64).embedder_id == "builtin-ngram-hash/d64/n3-4"
 
 
 def test_similar_texts_score_higher():
@@ -71,7 +77,7 @@ def test_similar_texts_score_higher():
     a = emb.embed("for (int i = 0; i < n; i++) { sum += v[i]; }")
     b = emb.embed("for (int j = 0; j < n; j++) { sum += w[j]; }")
     c = emb.embed("static const char* kTableName = \"users\";")
-    assert cosine_similarity(a, b) > cosine_similarity(a, c)
+    assert knn_similarity(a, b) > knn_similarity(a, c)
 
 
 def test_embed_texts_matches_single_calls():
@@ -183,14 +189,14 @@ def test_cosine_against_fsum_oracle():
     for _ in range(100):
         a = np.array([rng.uniform(-1, 1) for _ in range(12)])
         b = np.array([rng.uniform(-1, 1) for _ in range(12)])
-        assert math.isclose(cosine_similarity(a, b), oracle_cosine(a.tolist(), b.tolist()), abs_tol=1e-12)
+        assert math.isclose(knn_similarity(a, b), oracle_cosine(a.tolist(), b.tolist()), abs_tol=1e-12)
 
 
 def test_cosine_zero_vector_is_zero():
     z = np.zeros(4)
     v = np.array([1.0, 2.0, 3.0, 4.0])
-    assert cosine_similarity(z, v) == 0.0
-    assert cosine_similarity(z, z) == 0.0
+    assert knn_similarity(z, v) == 0.0
+    assert knn_similarity(z, z) == 0.0
 
 
 def test_knn_two_dim_example():

@@ -2,12 +2,7 @@
 
 from conftest import make_record
 
-from scopekit.scopes import (
-    ScopeCategory,
-    classify_scope,
-    extract_scopes,
-    scan_delimiters,
-)
+from scopekit.scopes import ScopeCategory, extract_scopes
 
 
 def cats(text: str, language="c_cpp", patterns=None):
@@ -188,16 +183,6 @@ def test_candidates_sorted_and_laminar():
             disjoint = a[1] <= b[0] or b[1] <= a[0]
             nested = (a[0] <= b[0] and b[1] <= a[1]) or (b[0] <= a[0] and a[1] <= b[1])
             assert disjoint or nested
-
-
-def test_classify_scope_matches_extract():
-    text = 'void f(){if (a) { pdLog("x"); } else { submit(b); }}'
-    rec = make_record(text)
-    spans = scan_delimiters(rec)
-    by_span = {(c.start_byte, c.end_byte): c.category for c in extract_scopes(rec)}
-    for span in spans:
-        got = classify_scope(rec, span)
-        assert by_span[(span.open_offset + 1, span.close_offset)] is got
 
 
 def test_unreadable_context_falls_back():
