@@ -35,7 +35,7 @@ EXIT_CONFIG = 2
 # it, parsed by config.parse_config: a flag gets the checks and the
 # default of its key, as in the file.
 _SETTING_FLAGS = {
-    "lang": "languages", "exclude": "exclude_globs", "max_file_bytes": "max_file_bytes",
+    "root": "repo_root", "lang": "languages", "exclude": "exclude_globs", "max_file_bytes": "max_file_bytes",
     "predictions": "predictions_path",
     "min_scope_bytes": "filters.min_scope_bytes", "max_scope_bytes": "filters.max_scope_bytes",
     "min_prefix_bytes": "filters.min_prefix_bytes", "max_prefix_bytes": "filters.max_prefix_bytes",
@@ -77,10 +77,9 @@ def _nonblank_lines(path: str) -> list[str]:
 
 def _cmd_ingest(args) -> int:
     cfg = _config(args)
-    root = args.root or (cfg.repo_root if args.config else None)
-    if not root:
+    if not (args.root or args.config):
         raise InvalidConfigError(["--root (or a config with repo_root) is required"])
-    manifest = ingest_repository(root, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
+    manifest = ingest_repository(cfg.repo_root, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
     path = write_manifest(manifest, args.out)
     print(f"ingested {len(manifest.files)} files -> {path}")
     for lang, n in sorted(manifest.counts.items()):

@@ -352,16 +352,11 @@ def dataset_card(pairs: Iterable[CompletionPair], cfg: FilterConfig, extra: dict
         "by_category": dict(sorted(by_category.items())),
         "by_kind": dict(sorted(by_kind.items())),
         "filters": {
-            "min_scope_bytes": cfg.min_scope_bytes,
-            "max_scope_bytes": cfg.max_scope_bytes,
-            "min_prefix_bytes": cfg.min_prefix_bytes,
-            "max_prefix_bytes": cfg.max_prefix_bytes,
-            "max_depth": cfg.max_depth,
+            **vars(cfg),
             "category_allowlist": sorted(c.value for c in cfg.category_allowlist)
             if cfg.category_allowlist is not None
             else None,
             "exclude_keywords": list(cfg.exclude_keywords),
-            "modified_after": cfg.modified_after,
         },
     }
     if extra:

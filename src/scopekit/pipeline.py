@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -65,7 +66,7 @@ class RunResult:
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        while chunk := fh.read(1 << 20):
             h.update(chunk)
     return h.hexdigest()
 
@@ -77,9 +78,12 @@ class _Runner:
         self.stages: list[StageRecord] = []
         self.written: dict[Path, str] = {}  # sha256 of each output written so far
 
-    def run_stage(self, name: str, fn, inputs: dict[str, Path], outputs: list[Path]):
-        """Run fn, record the hashes of inputs and outputs, return fn's value;
-        an input an earlier stage wrote keeps the hash taken when written."""
+    @contextmanager
+    def stage(self, name: str, inputs: dict[str, Path], outputs: list[Path]):
+        """Record the with block as one stage: input hashes on entry (an input
+        an earlier stage wrote keeps the hash taken when written), output
+        hashes on normal exit. On an exception the stage stays failed, the
+        manifest is written and the error is re-raised as StageError."""
         rec = StageRecord(
             stage=name,
             status="failed",
@@ -87,24 +91,17 @@ class _Runner:
         )
         self.stages.append(rec)
         try:
-            value = fn()
+            yield
         except Exception as exc:
             self.write_manifest()
             raise StageError(name, exc) from exc
         self.written.update((p, _sha256_file(p)) for p in outputs)
         rec.outputs = {str(p.relative_to(self.out_dir)): self.written[p] for p in outputs}
         rec.status = "complete"
-        return value
 
     def write_manifest(self) -> Path:
         path = self.out_dir / "run_manifest.json"
-        payload = {
-            "mode": self.mode.value,
-            "stages": [
-                {"stage": s.stage, "status": s.status, "inputs": s.inputs, "outputs": s.outputs}
-                for s in self.stages
-            ],
-        }
+        payload = {"mode": self.mode.value, "stages": [vars(s) for s in self.stages]}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return path
 
@@ -167,7 +164,7 @@ def _stage_pairs(
     manifest_path, scopes_path = out / "ingest" / "manifest.jsonl", out / "scopes.jsonl"
     train_path, held_path = out / "train_pairs.jsonl", out / "holdout_pairs.jsonl"
 
-    def do_ingest():
+    with runner.stage("ingest", {}, [manifest_path]):
         manifest = ingest_repository(
             config.repo_root,
             set(config.languages),
@@ -175,18 +172,12 @@ def _stage_pairs(
             max_file_bytes=config.max_file_bytes,
         )
         write_manifest(manifest, out / "ingest")
-        return manifest
 
-    manifest = runner.run_stage("ingest", do_ingest, {}, [manifest_path])
-
-    def do_scopes():
+    with runner.stage("scopes", {"manifest": manifest_path}, [scopes_path]):
         candidates = extract_all_scopes(manifest, config.logging_patterns)
         write_scopes(candidates, scopes_path)
-        return candidates
 
-    candidates = runner.run_stage("scopes", do_scopes, {"manifest": manifest_path}, [scopes_path])
-
-    def do_pairs():
+    with runner.stage("pairs", {"scopes": scopes_path}, [train_path, held_path]):
         pairs = build_pairs(
             candidates,
             manifest.record_by_id(),
@@ -202,16 +193,13 @@ def _stage_pairs(
         held = [p for p in pairs if p.pair_id not in train_ids]
         write_pairs(train, train_path)
         write_pairs(held, held_path)
-        return train, held
-
-    return runner.run_stage("pairs", do_pairs, {"scopes": scopes_path}, [train_path, held_path])
+    return train, held
 
 
 def _run_ft_export(runner: _Runner, config: PipelineConfig) -> None:
     train, _ = _stage_pairs(runner, config)
     card_path = runner.out_dir / "dataset_card.json"
-
-    def do_export():
+    with runner.stage("ft_export", {"pairs": runner.out_dir / "train_pairs.jsonl"}, [card_path]):
         card = dataset_card(
             train,
             config.filters,
@@ -225,9 +213,6 @@ def _run_ft_export(runner: _Runner, config: PipelineConfig) -> None:
         )
         card_path.write_text(json.dumps(card, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    train_path = runner.out_dir / "train_pairs.jsonl"
-    runner.run_stage("ft_export", do_export, {"pairs": train_path}, [card_path])
-
 
 def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     if not config.generate_endpoint:
@@ -235,42 +220,27 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     if not config.holdout_paths:
         raise InvalidConfigError(["rag_eval requires pairs.holdout_paths (the test files)"])
     train, held = _stage_pairs(runner, config)
-    tests = [p for p in held if p.kind is PairKind.PRIMARY]
-    if not tests:
-        raise StageError("rag_eval", ValueError("holdout files produced no test pairs"))
-
     embedder = ragindex.make_embedder(config.embedder, config.embedding_dimension)
     out = runner.out_dir
-    index_path = out / "train.index"
-    train_primary = [p for p in train if p.kind is PairKind.PRIMARY]
-    runner.run_stage(
-        "index",
-        lambda: ragindex.index_build(train_primary, embedder).save(index_path),
-        {"pairs": out / "train_pairs.jsonl"},
-        [index_path],
-    )
-    index = ragindex.VectorIndex.load(index_path)
+    train_path, index_path = out / "train_pairs.jsonl", out / "train.index"
+    with runner.stage("index", {"pairs": train_path}, [index_path]):
+        tests = [p for p in held if p.kind is PairKind.PRIMARY]
+        if not tests:
+            raise ValueError("holdout files produced no test pairs")
+        index = ragindex.index_build([p for p in train if p.kind is PairKind.PRIMARY], embedder)
+        index.save(index_path)
 
     leak_path = out / "leakage_report.jsonl"
-
-    def do_leak():
+    with runner.stage("leak_scan", {"train": train_path, "tests": out / "holdout_pairs.jsonl"}, [leak_path]):
         report = leakage_scan(train, [(p.pair_id, p.label) for p in tests], config.eot_token)
         write_leakage_report(report, leak_path)
         if report.findings:
             logger.warning("leakage scan found %d finding(s)", len(report.findings))
 
-    runner.run_stage(
-        "leak_scan",
-        do_leak,
-        {"train": out / "train_pairs.jsonl", "tests": out / "holdout_pairs.jsonl"},
-        [leak_path],
+    predictions_path, records_path, report_path = (
+        out / "predictions.jsonl", out / "eval_records.jsonl", out / "report.csv"
     )
-
-    records_path = out / "eval_records.jsonl"
-    report_path = out / "report.csv"
-    predictions_path = out / "predictions.jsonl"
-
-    def do_eval():
+    with runner.stage("rag_eval", {"index": index_path}, [predictions_path, records_path, report_path]):
         prompts = []
         vectors = embedder.embed_texts([p.query for p in tests])
         for p, vec in zip(tests, vectors):
@@ -296,10 +266,6 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
             evals.append((o.test_id, pair.category.value, o.result.text, pair.label_without_eot()))
         metrics.score_to_files(evals, records_path, report_path)
 
-    runner.run_stage(
-        "rag_eval", do_eval, {"index": index_path}, [predictions_path, records_path, report_path]
-    )
-
 
 def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
     src = config.predictions_path
@@ -307,11 +273,8 @@ def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
         raise InvalidConfigError(["eval_only requires predictions_path pointing at a JSONL file"])
     records_path = runner.out_dir / "eval_records.jsonl"
     report_path = runner.out_dir / "report.csv"
-
-    def do():
+    with runner.stage("eval_only", {"predictions": Path(src)}, [records_path, report_path]):
         metrics.score_to_files(metrics.read_tests_jsonl(src), records_path, report_path)
-
-    runner.run_stage("eval_only", do, {"predictions": Path(src)}, [records_path, report_path])
 
 
 def run_pipeline(config: PipelineConfig, mode: Mode) -> RunResult:

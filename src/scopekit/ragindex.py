@@ -93,9 +93,12 @@ class HashingEmbedder:
         return (acc / norm).astype(np.float32)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dimension), dtype=np.float32)
-        return np.stack([self.embed(t) for t in texts])
+        # filled in place: stacking one array per text leaves that many freed
+        # blocks in the heap, which stays resident and raises peak RSS
+        out = np.empty((len(texts), self.dimension), dtype=np.float32)
+        for i, t in enumerate(texts):
+            out[i] = self.embed(t)
+        return out
 
 
 class RemoteEmbedder:

@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds every layer it measures.
+
+bench/tracing.py wraps scopekit functions at the attributes their callers
+resolve (mostly ``scopekit.pipeline.<name>``). A refactor that renames one,
+or stops calling it through that attribute, fails the install or turns a
+layer's metrics into zeros; this test notices without a benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs in a fresh process: the install patches scopekit's modules for good.
+SCRIPT = """
+import json, sys
+from pathlib import Path
+bench, src, corpus, out = sys.argv[1:]
+sys.path[:0] = [bench, src]
+import tracing
+import scopekit.pipeline
+from scopekit.config import PipelineConfig
+
+tracer = tracing.Tracer("t")
+tracer.install()
+cfg = PipelineConfig(repo_root=Path(corpus), output_dir=Path(out), random_starts=2)
+scopekit.pipeline.run_pipeline(cfg, scopekit.pipeline.Mode.FT_EXPORT)
+metrics, _ = tracing.layer_metrics(tracer.spans)
+print(json.dumps(metrics))
+"""
+
+
+def test_traced_ft_export_measures_every_layer(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", SCRIPT,
+            str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tests" / "fixtures" / "corpus"),
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr  # install raises if a traced name is gone
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["lexer.scans_per_file"] == 1.0
+    assert metrics["pairs.write_calls"] == 2  # train and holdout pairs, each written once
+    assert metrics["pairs.emitted"] > 0
+    assert metrics["scopes.candidates"] > 0

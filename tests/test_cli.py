@@ -1,6 +1,7 @@
 """Command-line surface: stage subcommands, chaining, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from conftest import c_file_with_scopes, write_repo
@@ -511,8 +512,44 @@ def test_bad_setting_is_a_config_error(tmp_path, repo, capsys, argv, problem):
     assert sorted(p.name for p in tmp_path.iterdir()) in (["cfg.json", "repo"], ["repo"])  # nothing written
 
 
-def test_ingest_missing_root_is_failure(tmp_path, capsys):
-    assert run(["ingest", "--root", tmp_path / "nope", "--out", tmp_path / "o"]) == EXIT_FAILURE
+def test_ingest_missing_root_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"repo_root": str(missing), "output_dir": str(tmp_path / "o")}))
+    for argv in (["--root", missing], ["--config", cfg_path]):
+        assert run(["ingest", *argv, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert f"config error: repo_root is not a directory: {missing}" in capsys.readouterr().err
+    assert run(["ingest", "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert "--root (or a config with repo_root) is required" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ingest_root_flag_overrides_config(tmp_path, repo, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"repo_root": str(tmp_path / "nope"), "output_dir": str(tmp_path / "o")}))
+    assert run(["ingest", "--config", cfg_path, "--root", repo, "--out", tmp_path / "o"]) == EXIT_OK
+    assert "ingested 2 files" in capsys.readouterr().out
+
+
+def test_rag_eval_without_test_pairs_records_the_failed_stage(tmp_path, capsys):
+    root = tmp_path / "repo"
+    fixture = Path(__file__).parent / "fixtures" / "corpus" / "ring_buffer.c"
+    write_repo(root, {"ring_buffer.c": fixture.read_text(encoding="utf-8"), "held.c": "int a(void) { return 1; }\n"})
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "repo_root": str(root),
+        "output_dir": str(out),
+        "pairs": {"holdout_paths": ["held.c"]},
+        "endpoints": {"generate": "http://127.0.0.1:9/generate"},  # never reached
+    }))
+    assert run(["run", "--config", cfg_path, "--mode", "rag_eval"]) == EXIT_FAILURE
+    assert "holdout files produced no test pairs" in capsys.readouterr().err
+    stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [
+        ("ingest", "complete"), ("scopes", "complete"), ("pairs", "complete"), ("index", "failed")
+    ]
+    assert not (out / "train.index").exists()
 
 
 def test_version_flag(capsys):

@@ -10,6 +10,7 @@ from scopekit.config import PipelineConfig
 from scopekit.errors import InvalidConfigError, StageError
 from scopekit.pairs import FilterConfig, check_contiguity, check_pair_bounds, read_pairs
 from scopekit.pipeline import Mode, run_pipeline, run_sweep
+from scopekit.ragindex import VectorIndex
 from scopekit.scopes import extract_scopes, write_scopes
 
 
@@ -308,6 +309,35 @@ def test_rag_eval_requires_endpoint_and_holdout(tmp_path, stub_service):
     )
     with pytest.raises(InvalidConfigError):
         run_pipeline(cfg2, Mode.RAG_EVAL)
+
+
+def test_rag_eval_index_failure_is_recorded(tmp_path):
+    cfg = PipelineConfig(
+        repo_root=make_repo(tmp_path),
+        output_dir=tmp_path / "out",
+        holdout_paths=("src/mod_0.c",),
+        embedder="remote:http://127.0.0.1:9",  # nothing listens: connection refused
+        generate_endpoint="http://127.0.0.1:9/generate",
+    )
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg, Mode.RAG_EVAL)
+    assert err.value.stage == "index"
+    stages = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [
+        ("ingest", "complete"), ("scopes", "complete"), ("pairs", "complete"), ("index", "failed")
+    ]
+    assert stages[-1]["outputs"] == {}
+
+
+def test_rag_eval_uses_the_index_it_built(tmp_path, stub_service, monkeypatch):
+    def no_read_back(*args, **kwargs):
+        raise AssertionError("rag_eval read back the index it had just built")
+
+    monkeypatch.setattr(VectorIndex, "load", no_read_back)
+    cfg = base_config(tmp_path, holdout_paths=("src/mod_0.c",), generate_endpoint=stub_service.generate_url)
+    result = run_pipeline(cfg, Mode.RAG_EVAL)
+    assert [s.status for s in result.stages] == ["complete"] * 6
+    assert (result.out_dir / "report.csv").is_file()
 
 
 # ------------------------------------------------------------- sweep
