@@ -19,8 +19,8 @@ from .errors import InvalidConfigError, ScopekitError
 from .ingest import ingest_repository, load_manifest, write_manifest
 from .jsonl import read_jsonl
 from .metrics import read_tests_jsonl, score_to_files
-from .pairs import exclude_holdout, leakage_scan, read_pairs, write_leakage_report, write_pairs
-from .pipeline import Mode, build_pairs, extract_all_scopes, run_pipeline, run_sweep
+from .pairs import leakage_scan, read_pairs, write_leakage_report, write_pairs
+from .pipeline import Mode, extract_all_scopes, run_pipeline, run_sweep, split_pairs
 from .ragindex import VectorIndex, augment_query, index_build, knn_search, make_embedder
 from .scopes import read_scopes, write_scopes
 
@@ -107,17 +107,7 @@ def _cmd_pairs(args) -> int:
     unknown = next((c.file_id for c in candidates if c.file_id not in records), None)
     if unknown is not None:
         raise ValueError(f"{args.scopes}: file_id {unknown} is not in manifest {args.manifest}")
-    pairs = build_pairs(
-        candidates,
-        records,
-        cfg.filters,
-        cfg.eot_token,
-        random_starts=cfg.random_starts,
-        seed=cfg.seed,
-        include_closer=cfg.include_closing_delimiter,
-    )
-    path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
-    pairs = exclude_holdout(pairs, cfg.holdout_paths, path_by_id)
+    pairs, _ = split_pairs(candidates, manifest, cfg)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} pairs -> {args.out}")
     return EXIT_OK

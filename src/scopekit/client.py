@@ -78,7 +78,6 @@ def complete(
     request: GenerationRequest,
     *,
     retries: int = 2,
-    session: requests.Session | None = None,
 ) -> GenerationResult:
     """One generation call with idempotent retries on transport failures.
 
@@ -92,12 +91,11 @@ def complete(
         "stop": list(request.stop_sequences),
         "temperature": request.temperature,
     }
-    post = (session or requests).post
     last_exc: Exception | None = None
     for attempt in range(retries + 1):
         t0 = time.perf_counter()
         try:
-            resp = post(endpoint, json=payload, timeout=request.timeout, headers=_auth_headers())
+            resp = requests.post(endpoint, json=payload, timeout=request.timeout, headers=_auth_headers())
         except requests.Timeout as exc:
             last_exc = GenerationTimeoutError(f"generate call timed out after {request.timeout}s")
             last_exc.__cause__ = exc

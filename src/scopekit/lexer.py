@@ -277,7 +277,7 @@ class TokenWalker:
 
     def __init__(self, content: bytes, opaque: list[OpaqueSpan]):
         self._content = content
-        self._spans = sorted(opaque, key=lambda s: s.end)
+        self._spans = opaque  # scan appends disjoint spans in order: ends ascend
         self._ends = [s.end for s in self._spans]
 
     def token_before(self, offset: int) -> Token | None:

@@ -152,6 +152,25 @@ def build_pairs(
     return pairs
 
 
+def split_pairs(
+    candidates: Iterable[ScopeCandidate], manifest: IngestManifest, config: PipelineConfig
+) -> tuple[list[CompletionPair], list[CompletionPair]]:
+    """The config's pairs, split into (train, held): held pairs come from holdout files."""
+    pairs = build_pairs(
+        candidates,
+        manifest.record_by_id(),
+        config.filters,
+        config.eot_token,
+        random_starts=config.random_starts,
+        seed=config.seed,
+        include_closer=config.include_closing_delimiter,
+    )
+    path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
+    train = exclude_holdout(pairs, config.holdout_paths, path_by_id)
+    train_ids = {p.pair_id for p in train}
+    return train, [p for p in pairs if p.pair_id not in train_ids]
+
+
 def _stage_pairs(
     runner: _Runner, config: PipelineConfig
 ) -> tuple[list[CompletionPair], list[CompletionPair]]:
@@ -178,19 +197,7 @@ def _stage_pairs(
         write_scopes(candidates, scopes_path)
 
     with runner.stage("pairs", {"scopes": scopes_path}, [train_path, held_path]):
-        pairs = build_pairs(
-            candidates,
-            manifest.record_by_id(),
-            config.filters,
-            config.eot_token,
-            random_starts=config.random_starts,
-            seed=config.seed,
-            include_closer=config.include_closing_delimiter,
-        )
-        path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
-        train = exclude_holdout(pairs, config.holdout_paths, path_by_id)
-        train_ids = {p.pair_id for p in train}
-        held = [p for p in pairs if p.pair_id not in train_ids]
+        train, held = split_pairs(candidates, manifest, config)
         write_pairs(train, train_path)
         write_pairs(held, held_path)
     return train, held
@@ -222,7 +229,9 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     train, held = _stage_pairs(runner, config)
     embedder = ragindex.make_embedder(config.embedder, config.embedding_dimension)
     out = runner.out_dir
-    train_path, index_path = out / "train_pairs.jsonl", out / "train.index"
+    train_path, held_path, index_path = (
+        out / "train_pairs.jsonl", out / "holdout_pairs.jsonl", out / "train.index"
+    )
     with runner.stage("index", {"pairs": train_path}, [index_path]):
         tests = [p for p in held if p.kind is PairKind.PRIMARY]
         if not tests:
@@ -231,7 +240,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         index.save(index_path)
 
     leak_path = out / "leakage_report.jsonl"
-    with runner.stage("leak_scan", {"train": train_path, "tests": out / "holdout_pairs.jsonl"}, [leak_path]):
+    with runner.stage("leak_scan", {"train": train_path, "tests": held_path}, [leak_path]):
         report = leakage_scan(train, [(p.pair_id, p.label) for p in tests], config.eot_token)
         write_leakage_report(report, leak_path)
         if report.findings:
@@ -240,11 +249,12 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     predictions_path, records_path, report_path = (
         out / "predictions.jsonl", out / "eval_records.jsonl", out / "report.csv"
     )
-    with runner.stage("rag_eval", {"index": index_path}, [predictions_path, records_path, report_path]):
+    rag_inputs = {"index": index_path, "tests": held_path}
+    with runner.stage("rag_eval", rag_inputs, [predictions_path, records_path, report_path]):
         prompts = []
         vectors = embedder.embed_texts([p.query for p in tests])
         for p, vec in zip(tests, vectors):
-            neighbors = ragindex.knn_search(index, vec, config.n_neighbors) if len(index) else []
+            neighbors = ragindex.knn_search(index, vec, config.n_neighbors)
             prompt = ragindex.augment_query(
                 p.query, neighbors, index, config.n_neighbors, config.budget_bytes
             )

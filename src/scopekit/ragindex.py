@@ -161,8 +161,6 @@ class RemoteEmbedder:
         if not texts:
             return np.zeros((0, self.dimension), dtype=np.float32)
         batches = [list(texts[i : i + self.batch_size]) for i in range(0, len(texts), self.batch_size)]
-        if len(batches) == 1:
-            return self._embed_batch(batches[0])
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             parts = list(pool.map(self._embed_batch, batches))
         return np.concatenate(parts, axis=0)

@@ -79,44 +79,39 @@ def compile_logging_patterns(patterns) -> tuple[re.Pattern, ...]:
 
 
 class _FileContext:
-    """Shared lex context for classifying every span of one file."""
+    """Shared lex context for one file; a pair is named by its index in result.pairs."""
 
     def __init__(self, record: FileRecord, result: ScanResult):
         self.content = record.content
-        self.result = result
+        self.pairs = pairs = result.pairs
         self.walker = TokenWalker(record.content, result.opaque)
-        self.pair_by_close = {p.close_offset: p for p in result.pairs}
-        # Nesting tree over all matched pairs (they are properly nested).
-        self.depth: dict[DelimiterSpan, int] = {}
-        self.brace_parent: dict[DelimiterSpan, DelimiterSpan | None] = {}
-        self._type_body_cache: dict[DelimiterSpan, bool] = {}
-        stack: list[DelimiterSpan] = []
-        children: dict[DelimiterSpan, list[DelimiterSpan]] = {p: [] for p in result.pairs}
-        order: list[DelimiterSpan] = []
-        for pair in result.pairs:  # already sorted by open_offset
-            while stack and stack[-1].close_offset < pair.open_offset:
+        # Each '(' pair's _callee_chain by its ')' offset, stored as it is
+        # classified: it opens before the '{' after its ')' reads it.
+        self.chain_by_close: dict[int, tuple[Token, int, Token | None] | None] = {}
+        n = len(pairs)
+        self.type_body: list[bool | None] = [None] * n
+        # Pairs are properly nested and sorted by open_offset, so a parent
+        # precedes its children. depth is the height of a pair's subtree.
+        parent, self.brace_parent, self.depth = [-1] * n, [-1] * n, [0] * n
+        stack: list[int] = []
+        for i, pair in enumerate(pairs):
+            while stack and pairs[stack[-1]].close_offset < pair.open_offset:
                 stack.pop()
-            parent = stack[-1] if stack else None
-            if parent is not None:
-                children[parent].append(pair)
-            if parent is None:
-                self.brace_parent[pair] = None
-            elif parent.delimiter == "{":
-                self.brace_parent[pair] = parent
-            else:
-                self.brace_parent[pair] = self.brace_parent[parent]
-            stack.append(pair)
-            order.append(pair)
-        for pair in reversed(order):  # children are computed before parents
-            kids = children[pair]
-            self.depth[pair] = 0 if not kids else 1 + max(self.depth[k] for k in kids)
+            if stack:
+                p = parent[i] = stack[-1]
+                self.brace_parent[i] = p if pairs[p].delimiter == "{" else self.brace_parent[p]
+            stack.append(i)
+        for i in reversed(range(n)):  # a pair's depth is final before its parent's
+            p = parent[i]
+            if p >= 0 and self.depth[p] <= self.depth[i]:
+                self.depth[p] = self.depth[i] + 1
 
-    def is_type_body(self, brace: DelimiterSpan) -> bool:
-        cached = self._type_body_cache.get(brace)
-        if cached is not None:
-            return cached
+    def is_type_body(self, brace: int) -> bool:
+        verdict = self.type_body[brace]
+        if verdict is not None:
+            return verdict
         verdict = False
-        t = self.walker.token_before(brace.open_offset)
+        t = self.walker.token_before(self.pairs[brace].open_offset)
         for _ in range(16):
             if t is None:
                 break
@@ -127,13 +122,13 @@ class _FileContext:
             elif t.kind == "punct" and t.text in (";", "{", "}", "="):
                 break
             t = self.walker.token_before(t.start)
-        self._type_body_cache[brace] = verdict
+        self.type_body[brace] = verdict
         return verdict
 
 
-def _member_level(span: DelimiterSpan, ctx: _FileContext) -> bool:
-    parent = ctx.brace_parent.get(span)
-    return parent is None or ctx.is_type_body(parent)
+def _member_level(i: int, ctx: _FileContext) -> bool:
+    parent = ctx.brace_parent[i]
+    return parent < 0 or ctx.is_type_body(parent)
 
 
 def _callee_chain(ctx: _FileContext, open_offset: int) -> tuple[Token, int, Token | None] | None:
@@ -162,7 +157,7 @@ def _identifier_like(text: str) -> bool:
 
 
 def _classify_paren(span: DelimiterSpan, ctx: _FileContext, patterns) -> ScopeCategory:
-    walked = _callee_chain(ctx, span.open_offset)
+    walked = ctx.chain_by_close[span.close_offset] = _callee_chain(ctx, span.open_offset)
     if walked is None:
         return ScopeCategory.UNCLASSIFIED
     head, chain_start, before = walked
@@ -180,11 +175,8 @@ def _classify_paren(span: DelimiterSpan, ctx: _FileContext, patterns) -> ScopeCa
     return ScopeCategory.FUNC_CALL
 
 
-def _classify_after_paren(span: DelimiterSpan, rparen: Token, ctx: _FileContext) -> ScopeCategory:
-    par = ctx.pair_by_close.get(rparen.start)
-    if par is None:
-        return ScopeCategory.UNCLASSIFIED
-    walked = _callee_chain(ctx, par.open_offset)
+def _classify_after_paren(i: int, rparen: Token, ctx: _FileContext) -> ScopeCategory:
+    walked = ctx.chain_by_close.get(rparen.start)  # None for an orphan ')' too
     if walked is None:
         return ScopeCategory.UNCLASSIFIED
     head, _, before = walked
@@ -196,13 +188,13 @@ def _classify_after_paren(span: DelimiterSpan, rparen: Token, ctx: _FileContext)
         return ScopeCategory.UNCLASSIFIED
     if before is not None and before.kind == "word" and before.text == "new":
         return ScopeCategory.UNCLASSIFIED  # anonymous class body
-    if _member_level(span, ctx):
+    if _member_level(i, ctx):
         return ScopeCategory.FUNC_BODY
     return ScopeCategory.UNCLASSIFIED
 
 
-def _classify_brace(span: DelimiterSpan, ctx: _FileContext) -> ScopeCategory:
-    t = ctx.walker.token_before(span.open_offset)
+def _classify_brace(i: int, ctx: _FileContext) -> ScopeCategory:
+    t = ctx.walker.token_before(ctx.pairs[i].open_offset)
     if t is None:
         return ScopeCategory.UNCLASSIFIED
     if t.kind == "word":
@@ -217,7 +209,7 @@ def _classify_brace(span: DelimiterSpan, ctx: _FileContext) -> ScopeCategory:
             return ScopeCategory.UNCLASSIFIED
         if t.kind == "punct":
             if t.text == ")":
-                return _classify_after_paren(span, t, ctx)
+                return _classify_after_paren(i, t, ctx)
             if t.text not in _QUALIFIER_PUNCT:
                 return ScopeCategory.UNCLASSIFIED
         elif t.kind == "word":
@@ -251,9 +243,9 @@ def extract_scopes(
                 logger.warning("%s: %s", record.repo_relative_path, d)
     ctx = _FileContext(record, result)
     out = []
-    for pair in result.pairs:
+    for i, pair in enumerate(result.pairs):
         if pair.delimiter == "{":
-            category = _classify_brace(pair, ctx)
+            category = _classify_brace(i, ctx)
         else:
             category = _classify_paren(pair, ctx, patterns)
         start = pair.open_offset + 1
@@ -264,13 +256,12 @@ def extract_scopes(
                 category=category,
                 start_byte=start,
                 end_byte=end,
-                depth=ctx.depth[pair],
+                depth=ctx.depth[i],
                 size_bytes=end - start,
                 prefix_available_bytes=start,
             )
         )
-    out.sort(key=lambda c: (c.start_byte, c.end_byte))
-    return out
+    return out  # pairs ascend by open_offset, so start_byte ascends and is unique
 
 
 # A row is vars() of the dataclass: its fields are exactly the JSONL keys,

@@ -161,6 +161,23 @@ def test_random_soup_matches_naive_oracle():
         assert got == oracle_match_delimiters(text)
 
 
+def test_opaque_spans_sorted_and_disjoint():
+    # TokenWalker bisects scan's opaque list by end offset without sorting it
+    pieces = [
+        "/* block { */", "// line (\n", "'{'", "'\\''", '"(\\""', '"a//b"', "#define M(x) \\\n ((x))\n",
+        "#include <a.h> // tail\n", "f(x);", "{ }", " ", "\n", "1'000", "u8'a'",
+    ]
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(300):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 30)))
+        opaque = scan(text.encode(), Language.C_CPP).opaque
+        kinds.update(s.kind for s in opaque)
+        for a, b in zip(opaque, opaque[1:]):
+            assert a.start < a.end <= b.start, text
+    assert kinds == {"line_comment", "block_comment", "string", "char", "preproc"}
+
+
 def test_empty_and_trivial_inputs():
     assert scan(b"", Language.C_CPP).pairs == []
     assert scan(b"int x;", Language.C_CPP).pairs == []

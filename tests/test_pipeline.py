@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from conftest import c_file_with_scopes, make_record, write_repo
@@ -99,6 +100,22 @@ def test_ft_export_holdout_excluded(tmp_path):
     assert train and all(p.file_id not in held_ids for p in train)
     held = read_pairs(result.out_dir / "holdout_pairs.jsonl")
     assert held and all(p.file_id in held_ids for p in held)
+
+
+def test_ft_export_fixture_corpus_golden_hashes(tmp_path):
+    """The output contract: both files hold only content hashes and offsets,
+    so their bytes do not depend on the checkout path or file times."""
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    cfg = PipelineConfig(repo_root=corpus, output_dir=tmp_path / "out", random_starts=2, seed=1)
+    out = run_pipeline(cfg, Mode.FT_EXPORT).out_dir
+    digest = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("train_pairs.jsonl", "scopes.jsonl")
+    }
+    assert digest == {
+        "train_pairs.jsonl": "551b9f3c6e25009638bad380fece3ca4a569eed4a37e5da9879e4e08721d0592",
+        "scopes.jsonl": "768f09eeed8dc8a5b29a71f5569021f830c664bcfb1714edd1f3c65d84342c63",
+    }
 
 
 def test_run_manifest_hashes_recompute(tmp_path):
@@ -338,6 +355,13 @@ def test_rag_eval_uses_the_index_it_built(tmp_path, stub_service, monkeypatch):
     result = run_pipeline(cfg, Mode.RAG_EVAL)
     assert [s.status for s in result.stages] == ["complete"] * 6
     assert (result.out_dir / "report.csv").is_file()
+
+
+def test_rag_eval_records_its_tests_input(tmp_path, stub_service):
+    cfg = base_config(tmp_path, holdout_paths=("src/mod_0.c",), generate_endpoint=stub_service.generate_url)
+    stages = {s.stage: s for s in run_pipeline(cfg, Mode.RAG_EVAL).stages}
+    assert stages["rag_eval"].inputs["tests"] == stages["pairs"].outputs["holdout_pairs.jsonl"]
+    assert stages["rag_eval"].inputs["tests"] == stages["leak_scan"].inputs["tests"]
 
 
 # ------------------------------------------------------------- sweep

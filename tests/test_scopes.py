@@ -1,8 +1,18 @@
 """Scope extraction and category assignment over token lookbehind."""
 
-from conftest import make_record
+from functools import cache
+from pathlib import Path
 
+from conftest import make_record
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_match_delimiters
+
+from scopekit import scopes
+from scopekit.lexer import scan
 from scopekit.scopes import ScopeCategory, extract_scopes
+
+FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
 
 def cats(text: str, language="c_cpp", patterns=None):
@@ -159,6 +169,48 @@ def test_depth_counts_nested_children():
     assert by_body[" g(h(x)); "].depth == 2
     # outer func body: its children are the if-cond (depth 0) and if-body
     assert by_body["if (a) { g(h(x)); }"].depth == 3
+
+
+# Nested {}/() groups of identifiers and keywords, with stray delimiters
+# among the atoms so that some inputs are unbalanced.
+_SOUP = st.recursive(
+    st.sampled_from(["f", "if", "for", "else", "x1", " ", ";", "{", "}", "(", ")"]),
+    lambda inner: st.lists(inner, max_size=4).map("".join)
+    | st.tuples(st.sampled_from(["()", "{}"]), st.lists(inner, max_size=4)).map(
+        lambda t: t[0][0] + "".join(t[1]) + t[0][1]
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_SOUP)
+def test_depth_is_height_over_oracle_pairs(text):
+    pairs = oracle_match_delimiters(text)
+
+    @cache
+    def height(pair):
+        inside = [q for q in pairs if pair[0] < q[0] and q[1] < pair[1]]
+        return max((1 + height(q) for q in inside), default=0)
+
+    got = {c.start_byte: c.depth for c in extract_scopes(make_record(text), diagnostics=[])}
+    assert got == {p[0] + 1: height(p) for p in pairs}
+
+
+def test_callee_chain_walked_once_per_paren(monkeypatch):
+    calls = []
+    real = scopes._callee_chain
+
+    def counting(ctx, open_offset):
+        calls.append(open_offset)
+        return real(ctx, open_offset)
+
+    monkeypatch.setattr(scopes, "_callee_chain", counting)
+    rec = make_record((FIXTURES / "scheduler.cpp").read_bytes(), path="scheduler.cpp")
+    out = extract_scopes(rec, diagnostics=[])
+    assert any(c.category is ScopeCategory.FUNC_BODY for c in out)  # '{' after ')' read chains
+    parens = [p.open_offset for p in scan(rec.content, rec.language).pairs if p.delimiter == "("]
+    assert calls == parens
 
 
 def test_size_and_prefix_fields():
