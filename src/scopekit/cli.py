@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, parse_config, read_config
+from .config import SETTINGS, PipelineConfig, parse_config, read_config
 from .errors import InvalidConfigError, ScopekitError
 from .ingest import ingest_repository, load_manifest, write_manifest
 from .jsonl import read_jsonl
@@ -30,32 +30,14 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
-# The config key each setting flag (by argparse dest) sets. A command's
-# settings are its --config file, or no file, with these flags laid over
-# it, parsed by config.parse_config: a flag gets the checks and the
-# default of its key, as in the file.
-_SETTING_FLAGS = {
-    "root": "repo_root", "lang": "languages", "exclude": "exclude_globs", "max_file_bytes": "max_file_bytes",
-    "predictions": "predictions_path",
-    "min_scope_bytes": "filters.min_scope_bytes", "max_scope_bytes": "filters.max_scope_bytes",
-    "min_prefix_bytes": "filters.min_prefix_bytes", "max_prefix_bytes": "filters.max_prefix_bytes",
-    "max_depth": "filters.max_depth",
-    "logging_pattern": "pairs.logging_patterns", "holdout": "pairs.holdout_paths",
-    "random_starts": "pairs.random_starts", "seed": "pairs.seed", "eot_token": "pairs.eot_token",
-    "embedder": "rag.embedder", "dimension": "rag.dimension", "top": "rag.n_neighbors",
-    "budget_bytes": "rag.budget_bytes",
-    "endpoint": "endpoints.generate",
-    "max_new_tokens": "generation.max_new_tokens", "timeout": "generation.timeout_s",
-}
-
 
 def _config(args) -> PipelineConfig:
-    """The command's settings; a file needs its paths, as for `run`."""
+    """The command's settings: its --config file (which needs its paths, as for `run`), or no file,
+    with each flag whose dest is a SETTINGS key laid over it, so it gets that key's checks and default."""
     path = getattr(args, "config", None)
     raw = read_config(path) if path else {}
-    for dest, key in _SETTING_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is None:
+    for key, value in vars(args).items():
+        if key not in SETTINGS or value is None:
             continue
         section, _, name = key.rpartition(".")
         if section and raw.get(section) is None:
@@ -64,6 +46,16 @@ def _config(args) -> PipelineConfig:
         if isinstance(target, dict):  # else parse_config reports the section
             target[name] = value
     return parse_config(raw, paths_required=path is not None)
+
+
+def _positive_int(text: str) -> int:
+    """An integer >= 1, else a usage error (--max-in-flight)."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _nonblank_lines(path: str) -> list[str]:
@@ -77,7 +69,7 @@ def _nonblank_lines(path: str) -> list[str]:
 
 def _cmd_ingest(args) -> int:
     cfg = _config(args)
-    if not (args.root or args.config):
+    if not (args.repo_root or args.config):
         raise InvalidConfigError(["--root (or a config with repo_root) is required"])
     manifest = ingest_repository(cfg.repo_root, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
     path = write_manifest(manifest, args.out)
@@ -204,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="walk a repository into a content-addressed manifest")
-    p.add_argument("--root", help="repository root directory")
-    p.add_argument("--lang", type=lambda v: v.split(","), help="comma-separated languages (c_cpp,java)")
-    p.add_argument("--exclude", action="append", help="exclude glob (repeatable)")
+    p.add_argument("--root", dest="repo_root", help="repository root directory")
+    p.add_argument("--lang", dest="languages", type=lambda v: v.split(","),
+                   help="comma-separated languages (c_cpp,java)")
+    p.add_argument("--exclude", dest="exclude_globs", action="append", help="exclude glob (repeatable)")
     p.add_argument("--max-file-bytes", type=int, dest="max_file_bytes")
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--out", required=True, help="output directory")
@@ -214,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scopes", help="extract scope candidates from an ingest manifest")
     p.add_argument("--manifest", required=True, help="manifest.jsonl or its directory")
-    p.add_argument("--logging-pattern", action="append", dest="logging_pattern")
+    p.add_argument("--logging-pattern", action="append", dest="pairs.logging_patterns")
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_scopes)
@@ -223,19 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scopes", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--holdout", type=_nonblank_lines, help="file listing repo-relative holdout paths")
-    p.add_argument("--random-starts", type=int, dest="random_starts")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eot-token", dest="eot_token")
+    p.add_argument("--holdout", type=_nonblank_lines, dest="pairs.holdout_paths", metavar="FILE",
+                   help="file listing repo-relative holdout paths")
+    p.add_argument("--random-starts", type=int, dest="pairs.random_starts")
+    p.add_argument("--seed", type=int, dest="pairs.seed")
+    p.add_argument("--eot-token", dest="pairs.eot_token")
     for name in ("min-scope-bytes", "max-scope-bytes", "min-prefix-bytes", "max-prefix-bytes", "max-depth"):
-        p.add_argument(f"--{name}", type=int, dest=name.replace("-", "_"))
+        p.add_argument(f"--{name}", type=int, dest="filters." + name.replace("-", "_"))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_pairs)
 
     p = sub.add_parser("leak-scan", help="scan training pairs for test-label leakage")
     p.add_argument("--train", required=True, help="training pairs JSONL")
     p.add_argument("--tests", required=True, help="JSONL with pair_id/test_id and label/ground_truth")
-    p.add_argument("--eot-token", dest="eot_token")
+    p.add_argument("--eot-token", dest="pairs.eot_token")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_leak_scan)
 
@@ -243,26 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
     isub = p.add_subparsers(dest="index_command", required=True)
     b = isub.add_parser("build")
     b.add_argument("--pairs", required=True)
-    b.add_argument("--embedder")
-    b.add_argument("--dimension", type=int)
+    b.add_argument("--embedder", dest="rag.embedder")
+    b.add_argument("--dimension", type=int, dest="rag.dimension")
     b.add_argument("--out", required=True)
     b.set_defaults(fn=_cmd_index_build)
     q = isub.add_parser("query")
     q.add_argument("--index", required=True)
-    q.add_argument("--embedder")
-    q.add_argument("--top", type=int)
+    q.add_argument("--embedder", dest="rag.embedder")
+    q.add_argument("--top", type=int, dest="rag.n_neighbors")
     q.add_argument("--augment", action="store_true", help="print the augmented prompt")
-    q.add_argument("--budget-bytes", type=int, dest="budget_bytes")
+    q.add_argument("--budget-bytes", type=int, dest="rag.budget_bytes")
     q.set_defaults(fn=_cmd_index_query)
 
     p = sub.add_parser("predict", help="send prompts to a generation endpoint")
-    p.add_argument("--endpoint", required=True)
+    p.add_argument("--endpoint", required=True, dest="endpoints.generate")
     p.add_argument("--tests", required=True, help="JSONL of {test_id, prompt}")
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
+    p.add_argument("--max-new-tokens", type=int, dest="generation.max_new_tokens")
     p.add_argument("--stop", action="append")
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-in-flight", type=int, dest="max_in_flight", default=4)
+    p.add_argument("--timeout", type=float, dest="generation.timeout_s")
+    p.add_argument("--max-in-flight", type=_positive_int, dest="max_in_flight", default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_predict)
 
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a full pipeline mode")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
-    p.add_argument("--predictions", help="predictions JSONL for eval_only")
+    p.add_argument("--predictions", dest="predictions_path", help="predictions JSONL for eval_only")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("sweep", help="grid-run FT exports over filter settings")

@@ -1,6 +1,6 @@
 """Pipeline configuration: a config file, the CLI's stage flags and each
-sweep grid point are all parsed here, so a setting has one key, type, range
-and default whichever way it arrives.
+sweep grid point are all read by one loop over SETTINGS, so a setting has
+one key, type, range and default whichever way it arrives.
 
 Validation collects every violation before failing, so a bad config is
 fixed in one round trip instead of one field at a time.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfigError
@@ -46,63 +46,78 @@ class PipelineConfig:
     sweep: dict[str, list] = field(default_factory=dict)
 
 
-_DEFAULT = PipelineConfig(repo_root=Path("."), output_dir=Path("."))
-_FILTER_KEYS = {f.name for f in fields(FilterConfig)}
+def _at_least(minimum: int) -> tuple:
+    return int, f"an integer >= {minimum}", lambda v: v >= minimum
 
-_TOP_KEYS = {
-    "repo_root", "output_dir", "languages", "exclude_globs", "max_file_bytes",
-    "filters", "pairs", "rag", "endpoints", "generation", "sweep", "predictions_path",
+
+_INTEGER = int, "an integer", None
+_PATH = str, "a path string", None
+_STRINGS = (list, tuple), "a list of strings", lambda v: all(isinstance(x, str) for x in v)
+
+# Every config key -> (the dataclass field it sets, the JSON type its value must have,
+# what "<key> must be" then, a range check or None). A dotted key is a key of that section
+# of the file; a filters.* key sets a FilterConfig field, any other a PipelineConfig field.
+# A stage command's setting flag has its key as argparse dest.
+SETTINGS: dict[str, tuple] = {
+    "repo_root": ("repo_root", *_PATH),
+    "output_dir": ("output_dir", *_PATH),
+    "languages": ("languages", *_STRINGS),
+    "exclude_globs": ("exclude_globs", *_STRINGS),
+    "max_file_bytes": ("max_file_bytes", *_at_least(1)),
+    "filters.min_scope_bytes": ("min_scope_bytes", *_INTEGER),
+    "filters.max_scope_bytes": ("max_scope_bytes", *_INTEGER),
+    "filters.min_prefix_bytes": ("min_prefix_bytes", *_INTEGER),
+    "filters.max_prefix_bytes": ("max_prefix_bytes", *_INTEGER),
+    "filters.max_depth": ("max_depth", *_INTEGER),
+    "filters.category_allowlist": ("category_allowlist", *_STRINGS),
+    "filters.exclude_keywords": ("exclude_keywords", *_STRINGS),
+    "filters.modified_after": ("modified_after", str, "an ISO-8601 date string", None),
+    "pairs.random_starts": ("random_starts", *_at_least(0)),
+    "pairs.seed": ("seed", *_INTEGER),
+    "pairs.eot_token": ("eot_token", str, "a non-empty string", bool),
+    "pairs.include_closing_delimiter": ("include_closing_delimiter", bool, "true or false", None),
+    "pairs.holdout_paths": ("holdout_paths", *_STRINGS),
+    "pairs.logging_patterns": ("logging_patterns", *_STRINGS),
+    "rag.embedder": ("embedder", str, "a string", None),
+    "rag.dimension": ("embedding_dimension", *_at_least(1)),
+    "rag.n_neighbors": ("n_neighbors", *_at_least(1)),
+    "rag.budget_bytes": ("budget_bytes", *_at_least(1)),
+    "endpoints.generate": ("generate_endpoint", str, "a URL string", None),
+    "generation.max_new_tokens": ("gen_max_new_tokens", *_at_least(1)),
+    "generation.timeout_s": ("gen_timeout_s", (int, float), "a positive number", lambda v: v > 0),
+    "sweep": ("sweep", dict, "a map of config keys to lists of values", None),
+    "predictions_path": ("predictions_path", *_PATH),
 }
+_SECTIONS = {key.partition(".")[0] for key in SETTINGS if "." in key}
 
 
-def _typed(section: dict, where: str, default, kind, want: str, problems: list[str], ok=None):
-    """The section's value for the last part of ``where``; the default when absent or null,
-    or when not a ``kind`` (a bool is no int) passing ``ok``: then "<where> must be <want>"."""
-    value = section.get(where.rpartition(".")[2])
-    if value is None:
-        return default
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or (ok and not ok(value)):
-        problems.append(f"{where} must be {want}")
-        return default
-    return value
-
-
-def _int(section: dict, where: str, default: int, minimum: int, problems: list[str]) -> int:
-    return _typed(section, where, default, int, f"an integer >= {minimum}", problems, lambda v: v >= minimum)
-
-
-def _strings(section: dict, where: str, default: tuple | None, problems: list[str]) -> tuple[str, ...] | None:
-    def all_str(v):
-        return all(isinstance(x, str) for x in v)
-
-    value = _typed(section, where, default, (list, tuple), "a list of strings", problems, all_str)
-    return None if value is None else tuple(value)
-
-
-_NO_FILTERS = FilterConfig()
-
-
-def _parse_filters(raw: dict, problems: list[str], base: FilterConfig = _NO_FILTERS) -> FilterConfig:
-    """The filter keys of ``raw`` laid over ``base``; a null key takes FilterConfig's default."""
-    unknown = set(raw) - _FILTER_KEYS
-    if unknown:
-        problems.append(f"filters: unknown keys {sorted(unknown)}")
-    mistyped: list[str] = []
+def _read(flat: dict, problems: list[str]) -> dict:
+    """Field -> value for each SETTINGS key of ``flat``, a list read as a tuple; a null
+    value, or one of the wrong type (a bool is no int) or range, is None."""
     values = {}
-    for name in sorted(_FILTER_KEYS & set(raw)):
-        where, default = f"filters.{name}", getattr(_NO_FILTERS, name)
-        if name in ("category_allowlist", "exclude_keywords"):
-            values[name] = _strings(raw, where, default, mistyped)
-        elif name == "modified_after":
-            values[name] = _typed(raw, where, default, str, "an ISO-8601 date string", mistyped)
-        else:
-            values[name] = _typed(raw, where, default, int, "an integer", mistyped)
+    for key in sorted(flat.keys() & SETTINGS.keys()):
+        name, kind, want, ok = SETTINGS[key]
+        value = flat[key]
+        if value is not None and (
+            isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or (ok and not ok(value))
+        ):
+            problems.append(f"{key} must be {want}")
+            value = None
+        values[name] = tuple(value) if isinstance(value, list) else value
+    return values
+
+
+def _filters(flat: dict, base: FilterConfig, problems: list[str]) -> FilterConfig:
+    """The filters.* keys of ``flat`` laid over ``base``; a null key takes FilterConfig's default."""
+    mistyped: list[str] = []
+    values = _read(flat, mistyped)
     if values.get("category_allowlist") is not None:
         known, names = {c.value: c for c in ScopeCategory}, values["category_allowlist"]
         problems.extend(f"filters.category_allowlist: unknown category {n!r}" for n in names if n not in known)
         values["category_allowlist"] = frozenset(known[n] for n in names if n in known)
     problems.extend(mistyped)
-    cfg = replace(base, **values)
+    default = FilterConfig()
+    cfg = replace(base, **{name: getattr(default, name) if v is None else v for name, v in values.items()})
     if not mistyped:  # a defaulted bad value would only add misleading range problems
         try:
             cfg.validate()
@@ -119,7 +134,7 @@ def sweep_points(filters: FilterConfig, sweep: dict[str, list], problems: list[s
         problems.append("sweep must map config keys to lists of values")
         return []
     keys = sorted(sweep)
-    bad = [k for k in keys if not k.startswith("filters.") or k[len("filters.") :] not in _FILTER_KEYS]
+    bad = [k for k in keys if not (k.startswith("filters.") and k in SETTINGS)]
     if bad:
         problems.append(f"sweep keys must name a filter (filters.<name>), got {bad}")
         return []
@@ -127,7 +142,7 @@ def sweep_points(filters: FilterConfig, sweep: dict[str, list], problems: list[s
     for combo in itertools.product(*(sweep[k] for k in keys)):
         point = dict(zip(keys, combo))
         found: list[str] = []
-        filt = _parse_filters({k[len("filters.") :]: v for k, v in point.items()}, found, filters)
+        filt = _filters(point, filters, found)
         problems.extend(f"sweep point {point}: {p}" for p in found)
         points.append((point, filt))
     return points
@@ -139,6 +154,8 @@ def read_config(path: str | Path) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidConfigError([f"config file not found: {path}"])
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise InvalidConfigError([f"config file cannot be read: {path}: {getattr(exc, 'strerror', None) or exc}"])
     except json.JSONDecodeError as exc:
         raise InvalidConfigError([f"config is not valid JSON: {exc}"])
     if not isinstance(raw, dict):
@@ -157,104 +174,52 @@ def parse_config(raw: dict, *, paths_required: bool = True) -> PipelineConfig:
     every problem found. Without ``paths_required`` (a stage command, which
     takes its paths as flags) repo_root and output_dir may be absent."""
     problems: list[str] = []
-    unknown = set(raw) - _TOP_KEYS
+    flat = {k: v for k, v in raw.items() if k in SETTINGS and "." not in k}
+    unknown = sorted(raw.keys() - flat.keys() - _SECTIONS)
     if unknown:
-        problems.append(f"unknown top-level keys {sorted(unknown)}")
-    filters_raw, pairs_raw, rag_raw, endpoints, gen_raw = (
-        _typed(raw, name, {}, dict, "a JSON object", problems)
-        for name in ("filters", "pairs", "rag", "endpoints", "generation")
-    )
-
-    root_path, out_path = Path("."), Path(".")
-    repo_root = _typed(raw, "repo_root", None, str, "a path string", problems)
-    if repo_root:
-        root_path = Path(repo_root)
-        if not root_path.is_dir():
-            problems.append(f"repo_root is not a directory: {repo_root}")
-    elif paths_required:
-        problems.append("repo_root is required")
-    output_dir = _typed(raw, "output_dir", None, str, "a path string", problems)
-    if output_dir:
-        out_path = Path(output_dir)
-    elif paths_required:
-        problems.append("output_dir is required")
-
-    languages = []
-    for name in _strings(raw, "languages", tuple(lang.value for lang in _DEFAULT.languages), problems):
-        try:
-            lang = Language(name)
-            if lang is Language.OTHER:
-                raise ValueError
-            languages.append(lang)
-        except ValueError:
-            problems.append(f"languages: unknown language {name!r}")
-    if not languages:
-        problems.append("languages must name at least one of c_cpp, java")
+        problems.append(f"unknown top-level keys {unknown}")
+    block: dict = {}  # the filters section: its problems hold back the range checks and the sweep
+    for section in sorted(_SECTIONS & raw.keys()):
+        if isinstance(raw[section], dict):
+            (block if section == "filters" else flat).update((f"{section}.{k}", v) for k, v in raw[section].items())
+        elif raw[section] is not None:
+            problems.append(f"{section} must be a JSON object")
 
     filter_problems: list[str] = []
-    filters = _parse_filters(filters_raw, filter_problems)
+    bogus = sorted(k.partition(".")[2] for k in block if k not in SETTINGS)
+    if bogus:
+        filter_problems.append(f"filters: unknown keys {bogus}")
+    filters = _filters(block, FilterConfig(), filter_problems)
     problems.extend(filter_problems)
+    values = _read(flat, problems)
 
-    d = _DEFAULT  # every default below is PipelineConfig's
-    random_starts = _int(pairs_raw, "pairs.random_starts", d.random_starts, 0, problems)
-    seed = _typed(pairs_raw, "pairs.seed", d.seed, int, "an integer", problems)
-    eot_token = _typed(pairs_raw, "pairs.eot_token", d.eot_token, str, "a non-empty string", problems, bool)
-    include_closer = _typed(
-        pairs_raw, "pairs.include_closing_delimiter", d.include_closing_delimiter, bool, "true or false", problems
-    )
-    holdout_paths = _strings(pairs_raw, "pairs.holdout_paths", d.holdout_paths, problems)
-    logging_patterns = _strings(pairs_raw, "pairs.logging_patterns", d.logging_patterns, problems)
-    for pat in logging_patterns:
+    if values.get("languages") is not None:
+        known = {lang.value: lang for lang in Language if lang is not Language.OTHER}
+        problems.extend(f"languages: unknown language {n!r}" for n in values["languages"] if n not in known)
+        values["languages"] = tuple(known[n] for n in values["languages"] if n in known)
+        if not values["languages"]:
+            problems.append("languages must name at least one of c_cpp, java")
+    if values.get("repo_root") and not Path(values["repo_root"]).is_dir():
+        problems.append(f"repo_root is not a directory: {values['repo_root']}")
+    for key in ("repo_root", "output_dir"):
+        if paths_required and not values.get(key):
+            problems.append(f"{key} is required")
+        values[key] = Path(values.get(key) or ".")
+    values["predictions_path"] = Path(values["predictions_path"]) if values.get("predictions_path") else None
+
+    cfg = PipelineConfig(filters=filters, **{name: v for name, v in values.items() if v is not None})
+    for pat in cfg.logging_patterns:
         try:
             re.compile(pat)
         except re.error as exc:
             problems.append(f"pairs.logging_patterns: bad regex {pat!r}: {exc}")
-
-    embedder = _typed(rag_raw, "rag.embedder", d.embedder, str, "a string", problems)
-    dimension = _int(rag_raw, "rag.dimension", d.embedding_dimension, 1, problems)
     try:
-        make_embedder(embedder, dimension)
+        make_embedder(cfg.embedder, cfg.embedding_dimension)
     except InvalidConfigError as exc:
         problems.extend(exc.problems)
-    n_neighbors = _int(rag_raw, "rag.n_neighbors", d.n_neighbors, 1, problems)
-    budget_bytes = _int(rag_raw, "rag.budget_bytes", d.budget_bytes, 1, problems)
-
-    generate_endpoint = _typed(endpoints, "endpoints.generate", None, str, "a URL string", problems)
-    gen_max_new_tokens = _int(gen_raw, "generation.max_new_tokens", d.gen_max_new_tokens, 1, problems)
-    gen_timeout = _typed(
-        gen_raw, "generation.timeout_s", d.gen_timeout_s, (int, float), "a positive number", problems, lambda v: v > 0
-    )
-
-    max_file_bytes = _int(raw, "max_file_bytes", d.max_file_bytes, 1, problems)
-    exclude_globs = _strings(raw, "exclude_globs", d.exclude_globs, problems)
-    sweep = _typed(raw, "sweep", {}, dict, "a map of config keys to lists of values", problems)
     if not filter_problems:  # every grid point would repeat them
-        sweep_points(filters, sweep, problems)
-    predictions_path = _typed(raw, "predictions_path", None, str, "a path string", problems)
-
+        sweep_points(filters, cfg.sweep, problems)
     if problems:
         raise InvalidConfigError(problems)
-
-    return PipelineConfig(
-        repo_root=root_path,
-        output_dir=out_path,
-        languages=tuple(languages),
-        exclude_globs=exclude_globs,
-        max_file_bytes=max_file_bytes,
-        filters=filters,
-        logging_patterns=logging_patterns,
-        include_closing_delimiter=include_closer,
-        random_starts=random_starts,
-        seed=seed,
-        eot_token=eot_token,
-        holdout_paths=holdout_paths,
-        embedder=embedder,
-        embedding_dimension=dimension,
-        n_neighbors=n_neighbors,
-        budget_bytes=budget_bytes,
-        generate_endpoint=generate_endpoint,
-        gen_max_new_tokens=gen_max_new_tokens,
-        gen_timeout_s=float(gen_timeout),
-        predictions_path=Path(predictions_path) if predictions_path else None,
-        sweep=sweep,
-    )
+    cfg.gen_timeout_s = float(cfg.gen_timeout_s)
+    return cfg

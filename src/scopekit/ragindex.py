@@ -223,26 +223,34 @@ class VectorIndex:
         data = Path(path).read_bytes()
         if data[: len(_MAGIC)] != _MAGIC:
             raise ValueError(f"not an index file: {path}")
-        off = len(_MAGIC)
-        version, dim, count, eid_len = struct.unpack_from("<IIQI", data, off)
+        off = len(_MAGIC) + struct.calcsize("<IIQI")
+        if len(data) < off:
+            raise ValueError(f"truncated index file: {path}")
+        version, dim, count, eid_len = struct.unpack_from("<IIQI", data, len(_MAGIC))
         if version != _VERSION:
             raise ValueError(f"unsupported index version {version}")
-        off += struct.calcsize("<IIQI")
-        embedder_id = data[off : off + eid_len].decode("utf-8")
-        off += eid_len
-        keys = np.frombuffer(data, dtype="<f4", count=count * dim, offset=off).reshape(count, dim).copy()
-        off += count * dim * 4
         pair_ids = []
         values = []
-        for _ in range(count):
-            (n,) = struct.unpack_from("<I", data, off)
-            off += 4
-            pair_ids.append(data[off : off + n].decode("utf-8"))
-            off += n
-            (n,) = struct.unpack_from("<I", data, off)
-            off += 4
-            values.append(data[off : off + n].decode("utf-8"))
-            off += n
+        try:
+            embedder_id = data[off : off + eid_len].decode("utf-8")
+            off += eid_len
+            keys = np.frombuffer(data, dtype="<f4", count=count * dim, offset=off).reshape(count, dim).copy()
+            off += count * dim * 4
+            for _ in range(count):
+                (n,) = struct.unpack_from("<I", data, off)
+                off += 4
+                pair_ids.append(data[off : off + n].decode("utf-8"))
+                off += n
+                (n,) = struct.unpack_from("<I", data, off)
+                off += 4
+                values.append(data[off : off + n].decode("utf-8"))
+                off += n
+        except (struct.error, ValueError):  # a length read past the end, or bytes cut mid-character
+            off = len(data) + 1
+        if off > len(data):  # a slice past the end comes back short, so check the end offset too
+            raise ValueError(f"truncated or corrupt index file: {path}")
+        if off < len(data):
+            raise ValueError(f"index file has {len(data) - off} bytes past its last entry: {path}")
         return cls(dimension=dim, embedder_id=embedder_id, pair_ids=pair_ids, keys=keys, values=values)
 
 

@@ -1,13 +1,14 @@
 """Command-line surface: stage subcommands, chaining, exit codes."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 from conftest import c_file_with_scopes, write_repo
 
-from scopekit.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from scopekit.config import PipelineConfig
+from scopekit.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
+from scopekit.config import SETTINGS, PipelineConfig
 from scopekit.pipeline import Mode, run_pipeline
 
 
@@ -422,6 +423,15 @@ def _manifest_bad_byte_len(tmp_path, repo):
     return argv, f"{manifest}:2: byte_len: expected int, got str"
 
 
+def _truncated_index(tmp_path, repo):
+    pairs_file = tmp_path / "pairs.jsonl"
+    pairs_file.write_text("")
+    run(["index", "build", "--pairs", pairs_file, "--dimension", 8, "--out", tmp_path / "t.index"])
+    index = tmp_path / "t.index"
+    index.write_bytes(index.read_bytes()[:20])
+    return ["index", "query", "--index", index], f"truncated index file: {index}"
+
+
 def _empty_manifest(tmp_path, repo):
     (tmp_path / "ingest").mkdir()
     (tmp_path / "ingest" / "manifest.jsonl").write_text("")
@@ -445,6 +455,7 @@ def _empty_manifest(tmp_path, repo):
         _pairs_bogus_kind,
         _scopes_bogus_category,
         _manifest_bad_byte_len,
+        _truncated_index,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -557,3 +568,49 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "scopekit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "four"])
+def test_max_in_flight_below_one_is_a_usage_error(tmp_path, capsys, value):
+    argv = ["predict", "--endpoint", "http://127.0.0.1:9/generate", "--tests", tmp_path / "absent.jsonl",
+            "--max-in-flight", value, "--out", tmp_path / "p.jsonl"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)  # argparse stops before the tests file is read
+    assert exc.value.code == 2
+    assert f"argument --max-in-flight: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
+# Each setting flag and the config key it sets: a flag that loses or
+# changes its key is a change to every config that uses it.
+SETTING_FLAGS = {
+    "--root": "repo_root", "--lang": "languages", "--exclude": "exclude_globs",
+    "--max-file-bytes": "max_file_bytes", "--predictions": "predictions_path",
+    "--min-scope-bytes": "filters.min_scope_bytes", "--max-scope-bytes": "filters.max_scope_bytes",
+    "--min-prefix-bytes": "filters.min_prefix_bytes", "--max-prefix-bytes": "filters.max_prefix_bytes",
+    "--max-depth": "filters.max_depth",
+    "--logging-pattern": "pairs.logging_patterns", "--holdout": "pairs.holdout_paths",
+    "--random-starts": "pairs.random_starts", "--seed": "pairs.seed", "--eot-token": "pairs.eot_token",
+    "--embedder": "rag.embedder", "--dimension": "rag.dimension", "--top": "rag.n_neighbors",
+    "--budget-bytes": "rag.budget_bytes",
+    "--endpoint": "endpoints.generate",
+    "--max-new-tokens": "generation.max_new_tokens", "--timeout": "generation.timeout_s",
+}
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_setting_flags_keep_their_config_keys():
+    keys = {}
+    for parser in _parsers(build_parser()):
+        for action in parser._actions:
+            if action.dest in SETTINGS or "." in action.dest:
+                assert action.dest in SETTINGS, f"{action.option_strings} sets unknown key {action.dest!r}"
+                for flag in action.option_strings:
+                    assert keys.setdefault(flag, action.dest) == action.dest, flag
+    assert keys == SETTING_FLAGS

@@ -1,11 +1,12 @@
 """Config file loading: defaults, overrides, exhaustive validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from scopekit.cli import EXIT_CONFIG, main
-from scopekit.config import PipelineConfig, load_config, sweep_points
+from scopekit.config import SETTINGS, PipelineConfig, load_config, parse_config, sweep_points
 from scopekit.errors import InvalidConfigError
 from scopekit.ingest import Language
 from scopekit.pipeline import run_sweep
@@ -164,6 +165,13 @@ def test_nonexistent_file_and_bad_json(tmp_path):
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(InvalidConfigError):
         load_config(arr)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"eot_token": "\xe9"}'.encode("latin-1"))
+    for unreadable in (tmp_path, latin1):
+        with pytest.raises(InvalidConfigError) as err:
+            load_config(unreadable)
+        assert err.value.problems[0].startswith(f"config file cannot be read: {unreadable}: ")
+        assert main(["run", "--config", str(unreadable), "--mode", "ft_export"]) == EXIT_CONFIG
 
 
 def test_unknown_category_in_allowlist(tmp_path):
@@ -248,3 +256,18 @@ def test_sweep_points_parse_like_the_filters_block(tmp_path):
         assert filters.category_allowlist == frozenset({ScopeCategory.IF_BODY})
         assert filters.min_scope_bytes == 7  # the filters block is the base of every point
     assert [f.max_depth for _, f in points] == [None, 2]  # null is FilterConfig's default, not the base's
+
+
+def test_readme_example_config_names_every_setting(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    keys = set()
+    for key, value in example.items():
+        if isinstance(value, dict) and key != "sweep":
+            keys.update(f"{key}.{name}" for name in value)
+        else:
+            keys.add(key)
+    assert keys == set(SETTINGS)
+    example["repo_root"] = str(tmp_path)
+    parse_config(example)  # and every value in it is valid

@@ -181,6 +181,22 @@ def test_load_rejects_garbage(tmp_path):
         VectorIndex.load(path)
 
 
+def test_load_rejects_truncated_and_overlong_files(tmp_path):
+    idx, _, _ = build_index(["alpha", "beta é"], dim=8)
+    path = tmp_path / "t.index"
+    idx.save(path)
+    whole = path.read_bytes()
+    for cut in range(len(b"SCOPEIDX"), len(whole)):  # every cut past the magic
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            VectorIndex.load(path)
+        assert str(path) in str(err.value)
+    path.write_bytes(whole + b"junk")
+    with pytest.raises(ValueError, match="4 bytes past its last entry") as err:
+        VectorIndex.load(path)
+    assert str(path) in str(err.value)
+
+
 # ------------------------------------------------------------- cosine/knn
 
 
