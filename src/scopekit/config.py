@@ -179,16 +179,17 @@ def parse_config(raw: dict, *, paths_required: bool = True) -> PipelineConfig:
     if unknown:
         problems.append(f"unknown top-level keys {unknown}")
     block: dict = {}  # the filters section: its problems hold back the range checks and the sweep
+    filter_problems: list[str] = []
     for section in sorted(_SECTIONS & raw.keys()):
         if isinstance(raw[section], dict):
-            (block if section == "filters" else flat).update((f"{section}.{k}", v) for k, v in raw[section].items())
+            keys = {f"{section}.{k}": v for k, v in raw[section].items()}
+            bogus = sorted(k.partition(".")[2] for k in keys if k not in SETTINGS)
+            if bogus:
+                (filter_problems if section == "filters" else problems).append(f"{section}: unknown keys {bogus}")
+            (block if section == "filters" else flat).update(keys)
         elif raw[section] is not None:
             problems.append(f"{section} must be a JSON object")
 
-    filter_problems: list[str] = []
-    bogus = sorted(k.partition(".")[2] for k in block if k not in SETTINGS)
-    if bogus:
-        filter_problems.append(f"filters: unknown keys {bogus}")
     filters = _filters(block, FilterConfig(), filter_problems)
     problems.extend(filter_problems)
     values = _read(flat, problems)

@@ -3,9 +3,11 @@
 Two views of the same DP table: the full unit-cost Levenshtein distance,
 and the minimum distance achieved by any prefix of the prediction (a model
 that says the right thing and then rambles scores well on the second,
-poorly on the first; the gap is the conciseness delta). One DP pass yields
-both: row i's final column scores the prefix of length i, and the last row
-is the full distance.
+poorly on the first; the gap is the conciseness delta). One bit-parallel
+pass over the prediction yields both: each DP row is packed into Python-int
+bit vectors, one bit per truth element, so a row costs a few big-int
+operations; row i's final column scores the prefix of length i, and the
+last row is the full distance.
 """
 
 from __future__ import annotations
@@ -29,27 +31,45 @@ def normalize_whitespace(text: str) -> str:
 
 
 def _dp_rows(prediction: Sequence, truth: Sequence) -> tuple[int, int, int]:
-    """(full distance, opt-prefix distance, opt-prefix length) in one DP pass.
+    """(full distance, opt-prefix distance, opt-prefix length) in one pass.
 
-    Row i's final column is levenshtein(prediction[:i], truth); the minimum
-    over all rows, shortest prefix first on ties, is the opt-prefix score,
-    and the last row is the full distance. Memory stays at two rows of
-    len(truth)+1.
+    Walks the DP rows D[i], one per prediction element. A row is two bit
+    vectors: bit j of ``pv`` (``mv``) is set where D[i][j+1] - D[i][j] is
+    +1 (-1); row 0 is 0..len(truth), all +1. Each element turns one row
+    into the next with a few big-int operations (Myers 1999, in the global
+    form of Hyyrö 2001: D[i][0] = i, so the step down column 0 is a +1
+    shifted in at bit 0). ``score`` is the row's last column,
+    levenshtein(prediction[:i], truth); the minimum over all rows, shortest
+    prefix first on ties, is the opt-prefix score, and the last row is the
+    full distance.
     """
     m = len(truth)
-    prev = list(range(m + 1))
+    if not m:
+        return len(prediction), 0, 0
+    peq: dict = {}  # element -> bitmask of its positions in truth
+    bit = 1
+    for c in truth:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask, top = bit - 1, bit >> 1
+    pv, mv, score = mask, 0, m
     best, best_len = m, 0  # empty prefix
-    for i, pc in enumerate(prediction, start=1):
-        cur = [i] + [0] * m
-        for j, tc in enumerate(truth, start=1):
-            if pc == tc:
-                cur[j] = prev[j - 1]
-            else:
-                cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
-        if cur[m] < best:
-            best, best_len = cur[m], i
-        prev = cur
-    return prev[m], best, best_len
+    for i, c in enumerate(prediction, start=1):
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask & ~(xh | pv))
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ((ph << 1) | 1) & mask
+        pv = ((mh << 1) & mask) | (mask & ~(xv | ph))
+        mv = ph & xv
+        if score < best:
+            best, best_len = score, i
+    return score, best, best_len
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -93,7 +113,7 @@ def evaluate(
     """Score (test_id, category, prediction, ground_truth) tuples.
 
     ``normalize`` applies whitespace normalization to both sides first;
-    ``as_bytes`` runs the DP over UTF-8 bytes instead of Unicode scalars.
+    ``as_bytes`` scores UTF-8 bytes instead of Unicode scalars.
     """
     out = []
     for test_id, category, prediction, ground_truth in tests:

@@ -8,7 +8,9 @@ strings stay decodable; offsets remain byte offsets into canonical content.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import logging
 import random
 from dataclasses import dataclass, field
@@ -301,23 +303,37 @@ def leakage_scan(
     A finding is raised per (test label, training pair) where the normalized
     test label equals the training label, or occurs as a substring of the
     training label or query. Comparison strips the eot token and normalizes
-    CRLF to LF on both sides.
+    CRLF to LF on both sides. Findings come in test order, then train order.
+
+    Every train label and query is one NUL-separated segment of a single
+    haystack, so each test label is one str.find walk over the train set; a
+    hit counts only if it lies inside one segment (a test label holding NUL
+    could otherwise match across a separator), and after a counted hit the
+    walk skips to the next pair.
     """
-    train = [
-        (p.pair_id, _normalized(p.label, p.eot_token), _normalized(p.query, None))
-        for p in train_pairs
-    ]
+    train = list(train_pairs)
+    # pair k's label is segment 2k, its query 2k + 1
+    segments = [text for p in train for text in (_normalized(p.label, p.eot_token), _normalized(p.query, None))]
+    haystack = "\0".join(segments)
+    # offset after[s] - 1 is just past segment s: its separator, or the haystack's end
+    after = list(itertools.accumulate(len(seg) + 1 for seg in segments))
     report = LeakageReport()
     for test_id, raw_label in test_labels:
         needle = _normalized(raw_label, eot_token)
         if not needle:
             logger.warning("empty test label %s skipped in leakage scan", test_id)
             continue
-        for train_id, label, query in train:
-            if needle == label:
-                report.findings.append(LeakageFinding(test_id, train_id, MATCH_EXACT_LABEL))
-            elif needle in label or needle in query:
-                report.findings.append(LeakageFinding(test_id, train_id, MATCH_SUBSTRING))
+        i = haystack.find(needle)
+        while i >= 0:
+            s = bisect.bisect_right(after, i)  # the segment holding offset i, or its separator
+            if i + len(needle) < after[s]:
+                k = s // 2
+                kind = MATCH_EXACT_LABEL if segments[2 * k] == needle else MATCH_SUBSTRING
+                report.findings.append(LeakageFinding(test_id, train[k].pair_id, kind))
+                i = after[2 * k + 1]
+            else:
+                i += 1
+            i = haystack.find(needle, i)
     return report
 
 

@@ -185,6 +185,7 @@ class VectorIndex:
 
     def __post_init__(self):
         self._norms = None
+        self._ranks = None
         self._value_by_id = None
 
     def __len__(self) -> int:
@@ -194,6 +195,13 @@ class VectorIndex:
         if self._norms is None:
             self._norms = np.linalg.norm(self.keys.astype(np.float64), axis=1)
         return self._norms
+
+    def ranks(self) -> np.ndarray:
+        """Each entry's position in ascending pair_id order."""
+        if self._ranks is None:
+            self._ranks = np.empty(len(self), dtype=np.int64)
+            self._ranks[sorted(range(len(self)), key=self.pair_ids.__getitem__)] = np.arange(len(self))
+        return self._ranks
 
     def value_for(self, pair_id: str) -> str:
         if self._value_by_id is None:
@@ -312,8 +320,8 @@ def knn_search(index: VectorIndex, query_vec: np.ndarray, n: int) -> list[tuple[
         dots = index.keys.astype(np.float64) @ q
         denom = norms * qnorm
         sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
-    order = sorted(range(count), key=lambda i: (-sims[i], index.pair_ids[i]))
-    return [(index.pair_ids[i], float(sims[i])) for i in order[:n]]
+    order = np.lexsort((index.ranks(), -sims))[:n]
+    return [(index.pair_ids[i], float(sims[i])) for i in order]
 
 
 def augment_query(

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by tests.
 
-These deliberately avoid the package's algorithms: the distance oracle is
-the textbook recursion, the knn oracle a brute-force sort, the delimiter
-oracle a naive stack walk. Slow is fine; agreeing with production code by
-construction is not.
+These deliberately avoid the package's algorithms: the distance oracles
+are the textbook recursion and the full O(n*m) DP table, the knn oracle a
+brute-force sort, the leak-scan oracle a compare of every pair, the
+delimiter oracle a naive stack walk. Slow is fine; agreeing with
+production code by construction is not.
 """
 
 from __future__ import annotations
@@ -41,6 +42,31 @@ def oracle_opt_prefix(prediction: str, truth: str) -> tuple[int, int]:
     return best, best_len
 
 
+def oracle_dp_rows(prediction, truth) -> tuple[int, int, int]:
+    """(full distance, opt-prefix distance, opt-prefix length) from the full
+    DP table, two rows at a time: fast enough for inputs of hundreds of
+    elements, where the recursive oracle is not.
+
+    Row i's final column is levenshtein(prediction[:i], truth); the minimum
+    over all rows, shortest prefix first on ties, is the opt-prefix score,
+    and the last row is the full distance.
+    """
+    m = len(truth)
+    prev = list(range(m + 1))
+    best, best_len = m, 0  # empty prefix
+    for i, pc in enumerate(prediction, start=1):
+        cur = [i] + [0] * m
+        for j, tc in enumerate(truth, start=1):
+            if pc == tc:
+                cur[j] = prev[j - 1]
+            else:
+                cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
+        if cur[m] < best:
+            best, best_len = cur[m], i
+        prev = cur
+    return prev[m], best, best_len
+
+
 def oracle_cosine(a, b) -> float:
     dot = math.fsum(x * y for x, y in zip(a, b))
     na = math.sqrt(math.fsum(x * x for x in a))
@@ -55,6 +81,30 @@ def oracle_knn(pair_ids, keys, query, n):
     sims = [oracle_cosine(key, query) for key in keys]
     order = sorted(range(len(pair_ids)), key=lambda i: (-sims[i], pair_ids[i]))
     return [(pair_ids[i], sims[i]) for i in order[:n]]
+
+
+def oracle_leakage_scan(train_pairs, test_labels, eot_token):
+    """(test id, train id, match kind) for every pair of test label and train
+    pair, compared one by one; the label without its eot token and both
+    sides with CRLF as LF."""
+
+    def normalized(text, eot):
+        if eot and text.endswith(eot):
+            text = text[: -len(eot)]
+        return text.replace("\r\n", "\n")
+
+    train = [(p.pair_id, normalized(p.label, p.eot_token), normalized(p.query, None)) for p in train_pairs]
+    findings = []
+    for test_id, raw_label in test_labels:
+        needle = normalized(raw_label, eot_token)
+        if not needle:
+            continue
+        for train_id, label, query in train:
+            if needle == label:
+                findings.append((test_id, train_id, "exact-label"))
+            elif needle in label or needle in query:
+                findings.append((test_id, train_id, "label-substring-of-train-file"))
+    return findings
 
 
 def oracle_match_delimiters(text: str):

@@ -140,6 +140,16 @@ def test_wrong_value_type_is_a_config_problem(tmp_path, capsys, patch, problem):
     assert f"config error: {problem}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["pairs", "rag", "endpoints", "generation"])
+def test_unknown_key_in_a_section_is_a_config_problem(tmp_path, capsys, section):
+    path = write_cfg(tmp_path, {**minimal(tmp_path), section: {"neighbours": 9}})
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [f"{section}: unknown keys ['neighbours']"]
+    assert main(["run", "--config", str(path), "--mode", "ft_export"]) == EXIT_CONFIG
+    assert f"config error: {section}: unknown keys ['neighbours']" in capsys.readouterr().err
+
+
 def test_null_means_default(tmp_path):
     payload = minimal(tmp_path)
     payload.update({"pairs": {"seed": None, "holdout_paths": None}, "endpoints": {"generate": None}})

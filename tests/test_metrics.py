@@ -3,9 +3,9 @@
 import random
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_levenshtein, oracle_opt_prefix
+from oracles import oracle_dp_rows, oracle_levenshtein, oracle_opt_prefix
 
 from scopekit import metrics
 from scopekit.metrics import (
@@ -140,6 +140,27 @@ def test_evaluate_matches_oracles(prediction, truth, as_bytes):
     assert rec.full_distance == oracle_levenshtein(p, t)
     assert (rec.opt_distance, rec.opt_prefix_len) == oracle_opt_prefix(p, t)
     assert rec.conciseness_delta == rec.full_distance - rec.opt_distance
+
+
+# Up to 300 elements, so each bit vector spans several 64-bit words; a
+# non-BMP scalar is one element as str and four as bytes.
+_LONG_TEXT = st.integers(0, 300).flatmap(
+    lambda n: st.text(alphabet=st.sampled_from("ab\n\u00e9\U0001f600"), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(prediction=_LONG_TEXT, truth=_LONG_TEXT, as_bytes=st.booleans())
+@example(prediction="ab" * 150, truth="", as_bytes=False)
+@example(prediction="", truth="\U0001f600b" * 150, as_bytes=True)
+@example(prediction="\U0001f600" * 300, truth="\U0001f600" * 299, as_bytes=False)
+# "a"*65 (insert "b") and "a"*65+"c" (substitute) both score 1: the shorter prefix wins
+@example(prediction="a" * 65 + "c" * 200, truth="a" * 65 + "b", as_bytes=False)
+@example(prediction="a" * 65 + "c" * 200, truth="a" * 65 + "b", as_bytes=True)
+def test_evaluate_matches_dp_oracle_on_long_inputs(prediction, truth, as_bytes):
+    (rec,) = evaluate([("t", "x", prediction, truth)], as_bytes=as_bytes)
+    p, t = (prediction.encode("utf-8"), truth.encode("utf-8")) if as_bytes else (prediction, truth)
+    assert (rec.full_distance, rec.opt_distance, rec.opt_prefix_len) == oracle_dp_rows(p, t)
 
 
 def test_evaluate_runs_one_dp_per_record(monkeypatch):

@@ -5,6 +5,9 @@ import json
 
 import pytest
 from conftest import make_record
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_leakage_scan
 
 from scopekit.errors import InvalidConfigError
 from scopekit.pairs import (
@@ -309,6 +312,29 @@ def test_leakage_skips_empty_labels(caplog):
         report = leakage_scan([pa], [("t", DEFAULT_EOT_TOKEN)])
     assert report.clean
     assert any("empty test label" in r.message for r in caplog.records)
+
+
+# NUL is the scan's own segment separator; CR, LF and the eot token are what
+# normalization strips or rewrites; an empty text is an empty label or query.
+_LEAK_TEXT = st.lists(st.sampled_from(["a", "b", "\0", "\r", "\n", "<EOT>"]), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=st.lists(st.tuples(_LEAK_TEXT, _LEAK_TEXT), max_size=6),
+    tests=st.lists(_LEAK_TEXT, max_size=4),
+    eot_token=st.sampled_from(["<EOT>", None]),
+)
+def test_leakage_scan_matches_oracle(train, tests, eot_token):
+    pa, _ = two_pairs()
+    pairs = [
+        dataclasses.replace(pa, pair_id=f"p{k}", label=label, query=query, eot_token="<EOT>")
+        for k, (label, query) in enumerate(train)
+    ]
+    labels = [(f"t{k}", label) for k, label in enumerate(tests)]
+    report = leakage_scan(pairs, labels, eot_token)
+    got = [(f.test_pair_id, f.training_pair_id, f.match_kind) for f in report.findings]
+    assert got == oracle_leakage_scan(pairs, labels, eot_token)
 
 
 # --------------------------------------------------------- serialization
