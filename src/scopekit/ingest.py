@@ -194,6 +194,7 @@ def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> Path
                 "lossy_decoded": rec.lossy_decoded,
             }
         )
+    for rec in {r.file_id: r for r in manifest.files}.values():
         (objects / rec.file_id).write_bytes(rec.content)
     path = out / MANIFEST_NAME
     write_jsonl(rows, path)
@@ -217,12 +218,14 @@ def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
     if not rows:
         raise ValueError(f"{p}: empty manifest, expected a header line")
     header, *file_rows = rows
+    # one read per distinct content; records with the same file_id share its bytes
+    contents = {fid: (objects / fid).read_bytes() for fid in {d["file_id"] for d in file_rows}}
     files = [
         FileRecord(
             file_id=d["file_id"],
             repo_relative_path=d["path"],
             language=d["language"],
-            content=(objects / d["file_id"]).read_bytes(),
+            content=contents[d["file_id"]],
             byte_len=d["byte_len"],
             modified_at=d["modified_at"],
             lossy_decoded=d.get("lossy_decoded", False),

@@ -14,7 +14,7 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, get_type_hints
@@ -105,6 +105,8 @@ def apply_filters(
     cutoff = (
         datetime.fromisoformat(cfg.modified_after) if cfg.modified_after is not None else None
     )
+    if cutoff is not None and cutoff.tzinfo is None:
+        cutoff = cutoff.replace(tzinfo=timezone.utc)  # ingest stamps modified_at in UTC
     kept = []
     for cand in candidates:
         if not (cfg.min_scope_bytes <= cand.size_bytes <= cfg.max_scope_bytes):

@@ -74,6 +74,7 @@ def _sha256_file(path: Path) -> str:
 class _Runner:
     def __init__(self, out_dir: Path, mode: Mode):
         self.out_dir = out_dir
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.mode = mode
         self.stages: list[StageRecord] = []
         self.written: dict[Path, str] = {}  # sha256 of each output written so far
@@ -171,17 +172,13 @@ def split_pairs(
     return train, [p for p in pairs if p.pair_id not in train_ids]
 
 
-def _stage_pairs(
-    runner: _Runner, config: PipelineConfig
-) -> tuple[list[CompletionPair], list[CompletionPair]]:
-    """The ingest, scopes and pairs stages; returns the (train, held) pairs.
+_Scoped = tuple[list[ScopeCandidate], IngestManifest]  # what every pairs stage builds from
 
-    Each pair is written once: to train_pairs.jsonl, or to
-    holdout_pairs.jsonl when its file is held out (empty without a holdout).
-    """
+
+def _stage_scopes(runner: _Runner, config: PipelineConfig) -> _Scoped:
+    """The ingest and scopes stages; returns the candidates and the manifest."""
     out = runner.out_dir
     manifest_path, scopes_path = out / "ingest" / "manifest.jsonl", out / "scopes.jsonl"
-    train_path, held_path = out / "train_pairs.jsonl", out / "holdout_pairs.jsonl"
 
     with runner.stage("ingest", {}, [manifest_path]):
         manifest = ingest_repository(
@@ -195,18 +192,30 @@ def _stage_pairs(
     with runner.stage("scopes", {"manifest": manifest_path}, [scopes_path]):
         candidates = extract_all_scopes(manifest, config.logging_patterns)
         write_scopes(candidates, scopes_path)
+    return candidates, manifest
 
-    with runner.stage("pairs", {"scopes": scopes_path}, [train_path, held_path]):
-        train, held = split_pairs(candidates, manifest, config)
+
+def _stage_pairs(
+    runner: _Runner, config: PipelineConfig, scoped: _Scoped, out: Path
+) -> tuple[list[CompletionPair], list[CompletionPair]]:
+    """The pairs stage into ``out``; returns the (train, held) pairs.
+
+    Each pair is written once: to train_pairs.jsonl, or to
+    holdout_pairs.jsonl when its file is held out (empty without a holdout).
+    """
+    train_path, held_path = out / "train_pairs.jsonl", out / "holdout_pairs.jsonl"
+    with runner.stage("pairs", {"scopes": runner.out_dir / "scopes.jsonl"}, [train_path, held_path]):
+        train, held = split_pairs(*scoped, config)
         write_pairs(train, train_path)
         write_pairs(held, held_path)
     return train, held
 
 
-def _run_ft_export(runner: _Runner, config: PipelineConfig) -> None:
-    train, _ = _stage_pairs(runner, config)
-    card_path = runner.out_dir / "dataset_card.json"
-    with runner.stage("ft_export", {"pairs": runner.out_dir / "train_pairs.jsonl"}, [card_path]):
+def _run_ft_export(runner: _Runner, config: PipelineConfig, scoped: _Scoped, out: Path) -> dict:
+    """The pairs and ft_export stages into ``out``; returns the dataset card."""
+    train, _ = _stage_pairs(runner, config, scoped, out)
+    card_path = out / "dataset_card.json"
+    with runner.stage("ft_export", {"pairs": out / "train_pairs.jsonl"}, [card_path]):
         card = dataset_card(
             train,
             config.filters,
@@ -219,6 +228,7 @@ def _run_ft_export(runner: _Runner, config: PipelineConfig) -> None:
             },
         )
         card_path.write_text(json.dumps(card, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return card
 
 
 def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
@@ -226,7 +236,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         raise InvalidConfigError(["rag_eval requires endpoints.generate"])
     if not config.holdout_paths:
         raise InvalidConfigError(["rag_eval requires pairs.holdout_paths (the test files)"])
-    train, held = _stage_pairs(runner, config)
+    train, held = _stage_pairs(runner, config, _stage_scopes(runner, config), runner.out_dir)
     embedder = ragindex.make_embedder(config.embedder, config.embedding_dimension)
     out = runner.out_dir
     train_path, held_path, index_path = (
@@ -295,10 +305,9 @@ def run_pipeline(config: PipelineConfig, mode: Mode) -> RunResult:
     propagates, so partial artifacts are never presented as complete.
     """
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runner = _Runner(out_dir, mode)
     if mode is Mode.FT_EXPORT:
-        _run_ft_export(runner, config)
+        _run_ft_export(runner, config, _stage_scopes(runner, config), out_dir)
     elif mode is Mode.RAG_EVAL:
         _run_rag_eval(runner, config)
     elif mode is Mode.EVAL_ONLY:
@@ -312,8 +321,9 @@ def run_pipeline(config: PipelineConfig, mode: Mode) -> RunResult:
 def run_sweep(config: PipelineConfig) -> list[dict]:
     """Grid over config.sweep (dotted filter keys -> value lists).
 
-    Each grid point runs FT_EXPORT into its own subdirectory and its dataset
-    card is collected into sweep_summary.json. Returns the summary rows.
+    Ingest and scopes run once; each grid point runs pairs and ft_export into
+    sweep_NNN/, one run_manifest.json at the root records every stage, and
+    the dataset cards go to sweep_summary.json. Returns the summary rows.
     """
     if not config.sweep:
         raise InvalidConfigError(["sweep requires a non-empty sweep block"])
@@ -321,14 +331,16 @@ def run_sweep(config: PipelineConfig) -> list[dict]:
     points = sweep_points(config.filters, config.sweep, problems)
     if problems:
         raise InvalidConfigError(problems)
-    rows = []
     base_out = Path(config.output_dir)
+    runner = _Runner(base_out, Mode.FT_EXPORT)
+    scoped = _stage_scopes(runner, config)
+    rows = []
     for i, (point, filt) in enumerate(points):
-        sub = replace(config, filters=filt, output_dir=base_out / f"sweep_{i:03d}")
-        result = run_pipeline(sub, Mode.FT_EXPORT)
-        card = json.loads((result.out_dir / "dataset_card.json").read_text(encoding="utf-8"))
-        rows.append({"point": point, "out_dir": str(result.out_dir), "card": card})
+        sub = base_out / f"sweep_{i:03d}"
+        sub.mkdir(exist_ok=True)
+        card = _run_ft_export(runner, replace(config, filters=filt), scoped, sub)
+        rows.append({"point": point, "out_dir": str(sub), "card": card})
+    runner.write_manifest()
     summary = base_out / "sweep_summary.json"
-    base_out.mkdir(parents=True, exist_ok=True)
     summary.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return rows

@@ -261,6 +261,25 @@ def test_run_and_sweep_via_config(tmp_path, repo, capsys):
     assert (tmp_path / "out" / "sweep_summary.json").is_file()
 
 
+def test_pairs_config_with_date_only_modified_after(tmp_path, repo):
+    out = tmp_path / "work"
+    assert run(["ingest", "--root", repo, "--out", out / "ingest"]) == EXIT_OK
+    assert run(["scopes", "--manifest", out / "ingest", "--out", out / "scopes.jsonl"]) == EXIT_OK
+    pairs_argv = ["pairs", "--scopes", out / "scopes.jsonl", "--manifest", out / "ingest"]
+    assert run(pairs_argv + ["--out", out / "all.jsonl"]) == EXIT_OK
+    written = {}
+    for cutoff in ("2024-01-01", "2999-01-01"):
+        cfg_path = tmp_path / f"cfg_{cutoff}.json"
+        cfg_path.write_text(json.dumps({
+            "repo_root": str(repo), "output_dir": str(tmp_path / "o"), "filters": {"modified_after": cutoff},
+        }))
+        assert run(pairs_argv + ["--config", cfg_path, "--out", out / f"{cutoff}.jsonl"]) == EXIT_OK
+        written[cutoff] = (out / f"{cutoff}.jsonl").read_bytes()
+    # the files were written today: an earlier cutoff keeps every pair, a later one none
+    assert written["2024-01-01"] == (out / "all.jsonl").read_bytes() != b""
+    assert written["2999-01-01"] == b""
+
+
 def test_run_eval_only_with_predictions_flag(tmp_path, repo):
     preds = tmp_path / "p.jsonl"
     preds.write_text(

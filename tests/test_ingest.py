@@ -1,6 +1,7 @@
 """Repository walking, language selection, content canonicalization."""
 
 import os
+from pathlib import Path
 
 import pytest
 from conftest import write_repo
@@ -134,6 +135,23 @@ def test_manifest_roundtrip(tmp_path):
     # objects are content-addressed
     for rec in m.files:
         assert (out / "objects" / rec.file_id).read_bytes() == rec.content
+
+
+def test_manifest_writes_and_reads_each_content_once(tmp_path, monkeypatch):
+    write_repo(tmp_path / "repo", {"a/same.c": "int a;", "b/copy.c": "int a;", "c.c": "int c;"})
+    m = ingest_repository(tmp_path / "repo")
+    writes = []
+    real_write_bytes = Path.write_bytes
+
+    def counting_write_bytes(self, data):
+        writes.append(self.name)
+        return real_write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", counting_write_bytes)
+    write_manifest(m, tmp_path / "out")
+    assert sorted(writes) == sorted({r.file_id for r in m.files})
+    same, copy, _ = load_manifest(tmp_path / "out").files
+    assert same.file_id == copy.file_id and same.content is copy.content
 
 
 def test_record_by_id(tmp_path):

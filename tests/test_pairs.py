@@ -112,6 +112,11 @@ def test_keyword_and_modified_filters():
     # record stamped 2024-05-01; a later cutoff rejects it
     cfg_time = dataclasses.replace(FilterConfig(), modified_after="2025-01-01T00:00:00+00:00")
     assert apply_filters(cands, cfg_time, {rec.file_id: rec}) == []
+    # a cutoff without an offset is read as UTC, like the stamp ingest writes
+    cfg_date = dataclasses.replace(FilterConfig(), modified_after="2025-01-01")
+    assert apply_filters(cands, cfg_date, {rec.file_id: rec}) == []
+    cfg_date_ok = dataclasses.replace(FilterConfig(), modified_after="2024-01-01")
+    assert len(apply_filters(cands, cfg_date_ok, {rec.file_id: rec})) == 1
 
 
 # ---------------------------------------------------------------- primary

@@ -1,5 +1,6 @@
 """End-to-end runs: artifacts, manifests, determinism, sweeps."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -204,7 +205,18 @@ def test_duplicate_file_content_pairs_emitted_once(tmp_path):
     assert len(ids) == len(set(ids))
 
 
-def test_ft_export_scans_each_distinct_content_once(tmp_path, monkeypatch, caplog):
+def _ft_export(cfg):
+    return run_pipeline(cfg, Mode.FT_EXPORT).out_dir
+
+
+def _two_point_sweep(cfg):
+    cfg.sweep = {"filters.max_scope_bytes": [500, 1000]}
+    run_sweep(cfg)
+    return Path(cfg.output_dir)
+
+
+@pytest.mark.parametrize("run", [_ft_export, _two_point_sweep], ids=["ft_export", "sweep"])
+def test_ft_export_scans_each_distinct_content_once(tmp_path, monkeypatch, caplog, run):
     import scopekit.scopes
 
     root = tmp_path / "repo"
@@ -221,7 +233,7 @@ def test_ft_export_scans_each_distinct_content_once(tmp_path, monkeypatch, caplo
     monkeypatch.setattr(scopekit.scopes, "scan", counting_scan)
     cfg = PipelineConfig(repo_root=root, output_dir=tmp_path / "out")
     with caplog.at_level("WARNING", logger="scopekit.scopes"):
-        result = run_pipeline(cfg, Mode.FT_EXPORT)
+        out = run(cfg)
     assert sorted(scanned) == sorted({text.encode(), broken.encode()})
     orphan_logs = [
         r for r in caplog.records if "c/broken.c" in r.getMessage() and "unbalanced" in r.getMessage()
@@ -234,7 +246,7 @@ def test_ft_export_scans_each_distinct_content_once(tmp_path, monkeypatch, caplo
         + extract_scopes(make_record(broken), diagnostics=[]),
         expected,
     )
-    assert (result.out_dir / "scopes.jsonl").read_bytes() == expected.read_bytes()
+    assert (out / "scopes.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_rag_eval_end_to_end(tmp_path, stub_service):
@@ -368,16 +380,29 @@ def test_rag_eval_records_its_tests_input(tmp_path, stub_service):
 
 
 def test_sweep_grid_runs_ft_export(tmp_path):
-    cfg = base_config(tmp_path)
+    """Ingest and scopes run once at the sweep root; each point's pairs and
+    card are what FT_EXPORT with that point's filters writes."""
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    out = tmp_path / "out"
+    cfg = PipelineConfig(repo_root=corpus, output_dir=out, random_starts=2, seed=1)
     cfg.sweep = {"filters.min_scope_bytes": [0, 50], "filters.max_scope_bytes": [500, 1000]}
     rows = run_sweep(cfg)
     assert len(rows) == 4
     for i, row in enumerate(rows):
-        sub = tmp_path / "out" / f"sweep_{i:03d}"
-        assert (sub / "train_pairs.jsonl").is_file()
+        sub = out / f"sweep_{i:03d}"
         assert row["out_dir"] == str(sub)
         assert row["card"]["filters"]["min_scope_bytes"] in (0, 50)
-    summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        filters = dataclasses.replace(
+            cfg.filters, **{key.removeprefix("filters."): v for key, v in row["point"].items()}
+        )
+        plain = _ft_export(dataclasses.replace(cfg, filters=filters, sweep={}, output_dir=tmp_path / f"plain_{i}"))
+        for name in ("train_pairs.jsonl", "dataset_card.json"):
+            assert (sub / name).read_bytes() == (plain / name).read_bytes(), (i, name)
+        assert row["card"] == json.loads((plain / "dataset_card.json").read_text())
+    assert not (out / "sweep_000" / "ingest").exists()
+    assert not (out / "sweep_000" / "scopes.jsonl").exists()
+    assert not (out / "sweep_000" / "run_manifest.json").exists()
+    summary = json.loads((out / "sweep_summary.json").read_text())
     assert [r["point"] for r in summary] == [r["point"] for r in rows]
     # widening the size window can only add pairs
     counts = {
@@ -387,6 +412,46 @@ def test_sweep_grid_runs_ft_export(tmp_path):
         for r in rows
     }
     assert counts[(0, 1000)] >= counts[(50, 500)]
+    # one manifest at the root: ingest and scopes once, then pairs and ft_export per point
+    stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+    assert [s["stage"] for s in stages] == ["ingest", "scopes"] + ["pairs", "ft_export"] * 4
+    scopes_hash = stages[1]["outputs"]["scopes.jsonl"]
+    assert [s["inputs"] for s in stages[2::2]] == [{"scopes": scopes_hash}] * 4
+    assert [list(s["outputs"]) for s in stages[3::2]] == [
+        [f"sweep_{i:03d}/dataset_card.json"] for i in range(4)
+    ]
+    checked = 0
+    for stage in stages:
+        assert stage["status"] == "complete"
+        for rel, digest in stage["outputs"].items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+            checked += 1
+    assert checked == 2 + 4 * 3
+
+
+def test_failing_sweep_point_is_recorded(tmp_path, monkeypatch):
+    import scopekit.pipeline
+
+    real_write_pairs = scopekit.pipeline.write_pairs
+
+    def failing_write_pairs(pairs, path):
+        if Path(path).parent.name == "sweep_001":
+            raise OSError("disk full")
+        return real_write_pairs(pairs, path)
+
+    monkeypatch.setattr(scopekit.pipeline, "write_pairs", failing_write_pairs)
+    cfg = base_config(tmp_path)
+    cfg.sweep = {"filters.max_scope_bytes": [500, 1000]}
+    with pytest.raises(StageError) as err:
+        run_sweep(cfg)
+    assert err.value.stage == "pairs"
+    stages = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["stages"]
+    assert [(s["stage"], s["status"]) for s in stages] == [
+        ("ingest", "complete"), ("scopes", "complete"), ("pairs", "complete"), ("ft_export", "complete"),
+        ("pairs", "failed"),
+    ]
+    assert stages[-1]["outputs"] == {}
+    assert not (tmp_path / "out" / "sweep_summary.json").exists()
 
 
 def test_sweep_checks_every_point_before_running_one(tmp_path):
