@@ -20,7 +20,7 @@ from scopekit import (
     make_primary_pair,
     make_random_start_pairs,
 )
-from scopekit.pairs import check_pair_bounds, dataset_card, write_pairs
+from scopekit.pairs import check_pair_bounds, count_pairs, dataset_card, write_pairs
 
 HEADER = "/* sample accumulator module for the pair-generation demo */\n" * 4
 
@@ -82,7 +82,7 @@ for cand in kept:
 
 # The dataset card summarizes what was emitted; the bounds checker
 # re-audits the serialized records from scratch.
-card = dataset_card(pairs, cfg)
+card = dataset_card(count_pairs(pairs), cfg)
 print("\ndataset card:")
 print(json.dumps(card, indent=2, sort_keys=True))
 

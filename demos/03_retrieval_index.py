@@ -11,14 +11,14 @@ import tempfile
 from pathlib import Path
 
 from scopekit import (
-    FilterConfig,
     HashingEmbedder,
     augment_query,
     index_build,
     ingest_repository,
     knn_search,
 )
-from scopekit.pipeline import build_pairs, extract_all_scopes
+from scopekit.config import PipelineConfig
+from scopekit.pipeline import extract_all_scopes, split_pairs
 
 # A few small modules with deliberately different vocabularies, so nearest
 # neighbors are easy to eyeball.
@@ -56,16 +56,11 @@ with tempfile.TemporaryDirectory() as root:
     for name, text in MODULES.items():
         (Path(root) / name).write_text(text, encoding="utf-8")
     manifest = ingest_repository(root)
+    # the index holds primary pairs only; nothing is held out
+    config = PipelineConfig(repo_root=Path(root), output_dir=Path(root), random_starts=0)
 
-pairs = build_pairs(
-    extract_all_scopes(manifest),
-    manifest.record_by_id(),
-    FilterConfig(),
-    "<|endoftext|>",
-    random_starts=0,  # the index holds primary pairs only
-    seed=0,
-    include_closer=True,
-)
+train, _ = split_pairs(extract_all_scopes(manifest), manifest, config)
+pairs = [p for f in train for p in f.pairs]
 print(f"indexing {len(pairs)} primary pairs")
 
 # The built-in embedder hashes character n-grams into a fixed-width

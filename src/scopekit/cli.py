@@ -72,7 +72,7 @@ def _cmd_ingest(args) -> int:
     if not (args.repo_root or args.config):
         raise InvalidConfigError(["--root (or a config with repo_root) is required"])
     manifest = ingest_repository(cfg.repo_root, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
-    path = write_manifest(manifest, args.out)
+    path, _ = write_manifest(manifest, args.out)
     print(f"ingested {len(manifest.files)} files -> {path}")
     for lang, n in sorted(manifest.counts.items()):
         print(f"  {lang}: {n}")
@@ -99,9 +99,10 @@ def _cmd_pairs(args) -> int:
     unknown = next((c.file_id for c in candidates if c.file_id not in records), None)
     if unknown is not None:
         raise ValueError(f"{args.scopes}: file_id {unknown} is not in manifest {args.manifest}")
-    pairs, _ = split_pairs(candidates, manifest, cfg)
-    write_pairs(pairs, args.out)
-    print(f"wrote {len(pairs)} pairs -> {args.out}")
+    train, _ = split_pairs(candidates, manifest, cfg)
+    files = list(train)
+    write_pairs(files, args.out)
+    print(f"wrote {sum(len(f.pairs) for f in files)} pairs -> {args.out}")
     return EXIT_OK
 
 

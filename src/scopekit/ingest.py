@@ -129,6 +129,7 @@ def ingest_repository(
         languages = {Language.C_CPP, Language.JAVA}
 
     records: list[FileRecord] = []
+    contents: dict[str, bytes] = {}  # file_id -> its first copy's bytes, which later copies share
     for dirpath, dirnames, filenames in os.walk(rootp, followlinks=False):
         dirnames.sort()
         for name in sorted(filenames):
@@ -153,12 +154,13 @@ def ingest_repository(
             content, lossy = _canonicalize(raw)
             if lossy:
                 logger.warning("lossy-decoded non-UTF-8 file %s", rel)
+            file_id = _file_id(content)
             records.append(
                 FileRecord(
-                    file_id=_file_id(content),
+                    file_id=file_id,
                     repo_relative_path=rel,
                     language=lang,
-                    content=content,
+                    content=contents.setdefault(file_id, content),
                     byte_len=len(content),
                     modified_at=modified_at,
                     lossy_decoded=lossy,
@@ -172,12 +174,12 @@ def ingest_repository(
     return IngestManifest(repo_root=str(rootp), files=records, counts=counts)
 
 
-def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> Path:
+def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> tuple[Path, str]:
     """Write manifest.jsonl plus a content-addressed objects/ sidecar.
 
     The first JSONL line is the manifest header; each following line is one
     file record. Nothing in it depends on when ingest ran, so the same tree
-    gives the same bytes. Returns the manifest path.
+    gives the same bytes. Returns the manifest path and its sha256.
     """
     out = Path(out_dir)
     objects = out / OBJECTS_DIR
@@ -197,8 +199,7 @@ def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> Path
     for rec in {r.file_id: r for r in manifest.files}.values():
         (objects / rec.file_id).write_bytes(rec.content)
     path = out / MANIFEST_NAME
-    write_jsonl(rows, path)
-    return path
+    return path, write_jsonl(rows, path)
 
 
 _HEADER_ROW = {"repo_root": str, "counts": dict}

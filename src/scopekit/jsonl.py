@@ -1,22 +1,76 @@
 """JSONL artifacts: one JSON object per line, sorted keys, raw UTF-8.
 
-Every stage artifact and every JSONL input goes through these two
-functions, so the on-disk format and its error messages live in one place.
+Every stage artifact and every JSONL input goes through these functions, so
+the on-disk format and its error messages live in one place. Writers return
+the sha256 of the bytes they wrote, hashed as they are written.
 """
 
 from __future__ import annotations
 
+import bisect
+import hashlib
+import itertools
 import json
+import re
 from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable, Mapping
 
+# A str as a JSON string, quotes included; the C escaper json.dumps uses with
+# ensure_ascii=False, so non-ASCII text stays raw.
+_escape = json.encoder.encode_basestring
 
-def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
-    """Write each row as one line: sorted keys, unescaped UTF-8, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+
+def json_string(text: str) -> bytes:
+    """``text`` as a UTF-8 JSON string, without its quotes."""
+    return _escape(text)[1:-1].encode("utf-8")
+
+
+def write_lines(lines: Iterable[bytes], path: str | Path) -> str:
+    """Write the lines' bytes as they come; returns their sha256 hex digest."""
+    digest = hashlib.sha256()
+    with open(path, "wb", buffering=1 << 20) as fh:
+        for line in lines:
+            digest.update(line)
+            fh.write(line)
+    return digest.hexdigest()
+
+
+def write_jsonl(rows: Iterable[dict], path: str | Path) -> str:
+    """Write each row as one line: sorted keys, unescaped UTF-8, LF endings.
+    Returns the sha256 hex digest of the file."""
+    return write_lines(
+        ((json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8") for row in rows), path
+    )
+
+
+# JSON escapes '"', '\\' and the controls below 0x20 (RFC 8259 §7): all ASCII
+# bytes, each growing by 1 (\n, \") or 5 (\u0001) bytes. A byte from 0x80
+# up is part of a multi-byte character, which stays raw.
+_ESCAPED_BYTE = re.compile(rb'[\x00-\x1f"\\]')
+_GROWTH = bytes(len(_escape(chr(b))) - 3 for b in range(128))
+
+
+class EscapedUTF8:
+    """UTF-8 content escaped once as a JSON string, sliced by content offset.
+
+    Escaping is context-free per code point and touches only ASCII bytes, so
+    the escaped form of ``content[a:b]`` (a and b on character boundaries)
+    is the slice of the escaped whole between the images of a and b.
+    """
+
+    def __init__(self, content: bytes):
+        self._escaped = json_string(content.decode("utf-8"))
+        self._at = [m.start() for m in _ESCAPED_BYTE.finditer(content)]
+        # _grown[k]: how much the first k escaped bytes grew
+        self._grown = list(itertools.accumulate((_GROWTH[content[i]] for i in self._at), initial=0))
+
+    def _image(self, offset: int) -> int:
+        return offset + self._grown[bisect.bisect_left(self._at, offset)]
+
+    def slice(self, start: int, stop: int) -> bytes:
+        """``json_string(content[start:stop].decode())``, cut from the escaped whole."""
+        return self._escaped[self._image(start) : self._image(stop)]
 
 
 def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collection[str], one_of, where: str) -> None:

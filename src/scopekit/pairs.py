@@ -9,19 +9,21 @@ strings stay decodable; offsets remain byte offsets into canonical content.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, get_type_hints
+from typing import Iterable, Iterator, Mapping, NamedTuple, get_type_hints
 
 from .errors import InvalidConfigError
 from .ingest import FileRecord
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import EscapedUTF8, json_string, read_jsonl, write_jsonl, write_lines
 from .scopes import ScopeCandidate, ScopeCategory
 
 logger = logging.getLogger(__name__)
@@ -347,26 +349,82 @@ def pairs_sort_key(pair: CompletionPair):
 # and str-enum fields serialise as their value.
 _PAIR_FIELDS = get_type_hints(CompletionPair)
 
+# write_jsonl's row for vars(pair): keys sorted, the two long strings (label,
+# query) given already escaped
+_PAIR_ROW = (
+    b'{"category": "%s", "eot_token": "%s", "file_id": "%s", "kind": "%s", "label": "%s", '
+    b'"mask_len": %d, "pair_id": "%s", "query": "%s", "scope_start_byte": %d, "start_shift_bytes": %d}\n'
+)
 
-def write_pairs(pairs: Iterable[CompletionPair], path: str | Path) -> None:
-    write_jsonl(map(vars, pairs), path)
+
+class FilePairs(NamedTuple):
+    """One file's pairs, in order, with the content they were cut from."""
+
+    content: bytes
+    pairs: list[CompletionPair]
+
+
+def _utf8_len(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+# category, kind, eot token and file_id repeat from row to row
+_json_field = functools.lru_cache(maxsize=256)(json_string)
+
+
+def _pair_row(p: CompletionPair, label: bytes, query: bytes) -> bytes:
+    return _PAIR_ROW % (
+        _json_field(p.category), _json_field(p.eot_token), _json_field(p.file_id), _json_field(p.kind),
+        label, p.mask_len, json_string(p.pair_id), query, p.scope_start_byte, p.start_shift_bytes,
+    )
+
+
+def _pair_rows(items: Iterable[CompletionPair | FilePairs]) -> Iterator[bytes]:
+    for item in items:
+        if isinstance(item, CompletionPair):
+            yield _pair_row(item, json_string(item.label), json_string(item.query))
+            continue
+        escaped = EscapedUTF8(item.content)
+        for p in item.pairs:
+            part = p.scope_start_byte + p.start_shift_bytes
+            label_end = part + _utf8_len(p.label) - _utf8_len(p.eot_token)
+            label = escaped.slice(part, label_end) + _json_field(p.eot_token)
+            yield _pair_row(p, label, escaped.slice(part - _utf8_len(p.query), part))
+
+
+def write_pairs(pairs: Iterable[CompletionPair | FilePairs], path: str | Path) -> str:
+    """Write each pair as the JSONL row write_jsonl gives vars(pair); returns
+    the sha256 hex digest of the file.
+
+    A FilePairs item's content is escaped once, and each of its pairs'
+    query and label (the eot token aside) is written as a slice of that:
+    the pairs must have been cut from that content. A bare pair's strings
+    are escaped on their own.
+    """
+    return write_lines(_pair_rows(pairs), path)
 
 
 def read_pairs(path: str | Path) -> list[CompletionPair]:
     return [CompletionPair(**{k: d[k] for k in _PAIR_FIELDS}) for d in read_jsonl(path, _PAIR_FIELDS)]
 
 
-def dataset_card(pairs: Iterable[CompletionPair], cfg: FilterConfig, extra: dict | None = None) -> dict:
-    """Counts per category and kind plus the filter config that produced them."""
-    by_category: dict[str, int] = {}
-    by_kind: dict[str, int] = {}
-    total = 0
-    for p in pairs:
-        total += 1
-        by_category[p.category.value] = by_category.get(p.category.value, 0) + 1
-        by_kind[p.kind.value] = by_kind.get(p.kind.value, 0) + 1
+def count_pairs(pairs: Iterable[CompletionPair]) -> Counter[tuple[ScopeCategory, PairKind]]:
+    """How many pairs there are of each (category, kind)."""
+    return Counter((p.category, p.kind) for p in pairs)
+
+
+def dataset_card(
+    counts: Mapping[tuple[ScopeCategory, PairKind], int], cfg: FilterConfig, extra: dict | None = None
+) -> dict:
+    """Counts (from count_pairs) per category and kind plus the filter config
+    that produced them."""
+    by_category: Counter[str] = Counter()
+    by_kind: Counter[str] = Counter()
+    for (category, kind), n in counts.items():
+        by_category[category.value] += n
+        by_kind[kind.value] += n
     card = {
-        "total_pairs": total,
+        "total_pairs": sum(counts.values()),
         "by_category": dict(sorted(by_category.items())),
         "by_kind": dict(sorted(by_kind.items())),
         "filters": {

@@ -12,21 +12,23 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
 from . import client, metrics, ragindex
 from .config import PipelineConfig, sweep_points
 from .errors import InvalidConfigError, StageError
-from .ingest import FileRecord, IngestManifest, ingest_repository, write_manifest
+from .ingest import IngestManifest, ingest_repository, write_manifest
 from .pairs import (
     CompletionPair,
-    FilterConfig,
+    FilePairs,
     PairKind,
     apply_filters,
+    count_pairs,
     dataset_card,
     exclude_holdout,
     leakage_scan,
@@ -83,20 +85,23 @@ class _Runner:
     def stage(self, name: str, inputs: dict[str, Path], outputs: list[Path]):
         """Record the with block as one stage: input hashes on entry (an input
         an earlier stage wrote keeps the hash taken when written), output
-        hashes on normal exit. On an exception the stage stays failed, the
-        manifest is written and the error is re-raised as StageError."""
+        hashes on normal exit. The block gets a dict to put the hash of an
+        output it hashed while writing; other outputs are read back to hash.
+        On an exception the stage stays failed, the manifest is written and
+        the error is re-raised as StageError."""
         rec = StageRecord(
             stage=name,
             status="failed",
             inputs={k: self.written.get(p) or _sha256_file(p) for k, p in inputs.items() if p.is_file()},
         )
         self.stages.append(rec)
+        hashed: dict[Path, str] = {}
         try:
-            yield
+            yield hashed
         except Exception as exc:
             self.write_manifest()
             raise StageError(name, exc) from exc
-        self.written.update((p, _sha256_file(p)) for p in outputs)
+        self.written.update((p, hashed.get(p) or _sha256_file(p)) for p in outputs)
         rec.outputs = {str(p.relative_to(self.out_dir)): self.written[p] for p in outputs}
         rec.status = "complete"
 
@@ -126,50 +131,39 @@ def extract_all_scopes(
     return candidates
 
 
-def build_pairs(
-    candidates: Iterable[ScopeCandidate],
-    records: Mapping[str, FileRecord],
-    filters: FilterConfig,
-    eot_token: str,
-    *,
-    random_starts: int,
-    seed: int,
-    include_closer: bool,
-) -> list[CompletionPair]:
-    """Filters -> primary + random-start pairs, sorted by pairs_sort_key."""
-    pairs: list[CompletionPair] = []
-    for cand in apply_filters(candidates, filters, records):
-        content = records[cand.file_id].content
-        pairs.append(
-            make_primary_pair(cand, content, filters, eot_token, include_closer=include_closer)
-        )
-        pairs.extend(
-            make_random_start_pairs(
-                cand, content, filters, eot_token,
-                k=random_starts, seed=seed, include_closer=include_closer,
-            )
-        )
-    pairs.sort(key=pairs_sort_key)
-    return pairs
-
-
 def split_pairs(
-    candidates: Iterable[ScopeCandidate], manifest: IngestManifest, config: PipelineConfig
-) -> tuple[list[CompletionPair], list[CompletionPair]]:
-    """The config's pairs, split into (train, held): held pairs come from holdout files."""
-    pairs = build_pairs(
-        candidates,
-        manifest.record_by_id(),
-        config.filters,
-        config.eot_token,
-        random_starts=config.random_starts,
-        seed=config.seed,
-        include_closer=config.include_closing_delimiter,
-    )
+    candidates: list[ScopeCandidate], manifest: IngestManifest, config: PipelineConfig
+) -> tuple[Iterator[FilePairs], Iterator[FilePairs]]:
+    """The config's pairs as (train, held) streams: held pairs come from
+    holdout files.
+
+    Filtering and the holdout split happen on the call. Each stream walks
+    its files in file_id order and builds a file's pairs, sorted by
+    pairs_sort_key, only when it reaches that file; as the sort key starts
+    with file_id, a stream gives its pairs in pairs_sort_key order.
+    """
+    records = manifest.record_by_id()
+    by_file: dict[str, list[ScopeCandidate]] = {}
+    for cand in apply_filters(candidates, config.filters, records):
+        by_file.setdefault(cand.file_id, []).append(cand)
+    files = [records[fid] for fid in sorted(by_file)]
     path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
-    train = exclude_holdout(pairs, config.holdout_paths, path_by_id)
-    train_ids = {p.pair_id for p in train}
-    return train, [p for p in pairs if p.pair_id not in train_ids]
+    train = exclude_holdout(files, config.holdout_paths, path_by_id)
+    train_ids = {r.file_id for r in train}
+    filters, eot, closer = config.filters, config.eot_token, config.include_closing_delimiter
+
+    def stream(recs) -> Iterator[FilePairs]:
+        for rec in recs:
+            pairs: list[CompletionPair] = []
+            for cand in by_file[rec.file_id]:
+                pairs.append(make_primary_pair(cand, rec.content, filters, eot, include_closer=closer))
+                pairs += make_random_start_pairs(
+                    cand, rec.content, filters, eot, k=config.random_starts, seed=config.seed, include_closer=closer
+                )
+            pairs.sort(key=pairs_sort_key)
+            yield FilePairs(rec.content, pairs)
+
+    return stream(train), stream(r for r in files if r.file_id not in train_ids)
 
 
 _Scoped = tuple[list[ScopeCandidate], IngestManifest]  # what every pairs stage builds from
@@ -180,44 +174,58 @@ def _stage_scopes(runner: _Runner, config: PipelineConfig) -> _Scoped:
     out = runner.out_dir
     manifest_path, scopes_path = out / "ingest" / "manifest.jsonl", out / "scopes.jsonl"
 
-    with runner.stage("ingest", {}, [manifest_path]):
+    with runner.stage("ingest", {}, [manifest_path]) as hashed:
         manifest = ingest_repository(
             config.repo_root,
             set(config.languages),
             config.exclude_globs,
             max_file_bytes=config.max_file_bytes,
         )
-        write_manifest(manifest, out / "ingest")
+        _, hashed[manifest_path] = write_manifest(manifest, out / "ingest")
 
-    with runner.stage("scopes", {"manifest": manifest_path}, [scopes_path]):
+    with runner.stage("scopes", {"manifest": manifest_path}, [scopes_path]) as hashed:
         candidates = extract_all_scopes(manifest, config.logging_patterns)
-        write_scopes(candidates, scopes_path)
+        hashed[scopes_path] = write_scopes(candidates, scopes_path)
     return candidates, manifest
 
 
+def _counted(files: Iterable[FilePairs], counts: Counter) -> Iterator[FilePairs]:
+    for f in files:
+        counts.update(count_pairs(f.pairs))
+        yield f
+
+
 def _stage_pairs(
-    runner: _Runner, config: PipelineConfig, scoped: _Scoped, out: Path
-) -> tuple[list[CompletionPair], list[CompletionPair]]:
-    """The pairs stage into ``out``; returns the (train, held) pairs.
+    runner: _Runner, config: PipelineConfig, scoped: _Scoped, out: Path, *, keep: bool = False
+) -> tuple[Counter, list[CompletionPair], list[CompletionPair]]:
+    """The pairs stage into ``out``; returns the count_pairs of the train
+    pairs and, with ``keep``, the (train, held) pairs (else two empty lists).
 
     Each pair is written once: to train_pairs.jsonl, or to
     holdout_pairs.jsonl when its file is held out (empty without a holdout).
+    Without ``keep`` the pairs stream: one file's pairs are built, written
+    and dropped before the next file's.
     """
     train_path, held_path = out / "train_pairs.jsonl", out / "holdout_pairs.jsonl"
-    with runner.stage("pairs", {"scopes": runner.out_dir / "scopes.jsonl"}, [train_path, held_path]):
+    counts: Counter = Counter()
+    with runner.stage("pairs", {"scopes": runner.out_dir / "scopes.jsonl"}, [train_path, held_path]) as hashed:
         train, held = split_pairs(*scoped, config)
-        write_pairs(train, train_path)
-        write_pairs(held, held_path)
-    return train, held
+        if keep:
+            train, held = list(train), list(held)
+        hashed[train_path] = write_pairs(_counted(train, counts), train_path)
+        hashed[held_path] = write_pairs(held, held_path)
+    if not keep:
+        return counts, [], []
+    return counts, [p for f in train for p in f.pairs], [p for f in held for p in f.pairs]
 
 
 def _run_ft_export(runner: _Runner, config: PipelineConfig, scoped: _Scoped, out: Path) -> dict:
     """The pairs and ft_export stages into ``out``; returns the dataset card."""
-    train, _ = _stage_pairs(runner, config, scoped, out)
+    counts, _, _ = _stage_pairs(runner, config, scoped, out)
     card_path = out / "dataset_card.json"
     with runner.stage("ft_export", {"pairs": out / "train_pairs.jsonl"}, [card_path]):
         card = dataset_card(
-            train,
+            counts,
             config.filters,
             extra={
                 "eot_token": config.eot_token,
@@ -236,7 +244,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         raise InvalidConfigError(["rag_eval requires endpoints.generate"])
     if not config.holdout_paths:
         raise InvalidConfigError(["rag_eval requires pairs.holdout_paths (the test files)"])
-    train, held = _stage_pairs(runner, config, _stage_scopes(runner, config), runner.out_dir)
+    _, train, held = _stage_pairs(runner, config, _stage_scopes(runner, config), runner.out_dir, keep=True)
     embedder = ragindex.make_embedder(config.embedder, config.embedding_dimension)
     out = runner.out_dir
     train_path, held_path, index_path = (

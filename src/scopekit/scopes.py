@@ -269,8 +269,8 @@ def extract_scopes(
 _SCOPE_FIELDS = get_type_hints(ScopeCandidate)
 
 
-def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> None:
-    write_jsonl(map(vars, candidates), path)
+def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> str:
+    return write_jsonl(map(vars, candidates), path)
 
 
 def read_scopes(path: str | Path) -> list[ScopeCandidate]:

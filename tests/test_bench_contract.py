@@ -49,3 +49,47 @@ def test_traced_ft_export_measures_every_layer(tmp_path):
     assert metrics["pairs.write_calls"] == 2  # train and holdout pairs, each written once
     assert metrics["pairs.emitted"] > 0
     assert metrics["scopes.candidates"] > 0
+
+
+# The same traced run with three holdout files; prints the layer metrics and
+# how many times the holdout split ran.
+HOLDOUT_SCRIPT = """
+import json, sys
+from pathlib import Path
+bench, src, corpus, out = sys.argv[1:]
+sys.path[:0] = [bench, src]
+import tracing
+import scopekit.pipeline
+from scopekit.config import PipelineConfig
+
+tracer = tracing.Tracer("t")
+tracer.install()
+cfg = PipelineConfig(
+    repo_root=Path(corpus), output_dir=Path(out), random_starts=2,
+    holdout_paths=("checksum.c", "geometry.hpp", "tracer.cpp"),
+)
+scopekit.pipeline.run_pipeline(cfg, scopekit.pipeline.Mode.FT_EXPORT)
+metrics, _ = tracing.layer_metrics(tracer.spans)
+splits = sum(1 for s in tracer.spans if s["name"] == "pairs.exclude_holdout")
+print(json.dumps({"metrics": metrics, "splits": splits}))
+"""
+
+
+def test_traced_ft_export_splits_holdout_once(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", HOLDOUT_SCRIPT,
+            str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tests" / "fixtures" / "corpus"),
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["splits"] == 1  # one split per pairs stage, not one per file
+    metrics = result["metrics"]
+    assert metrics["pairs.holdout_missed_files"] == 0
+    assert metrics["pairs.write_calls"] == 2
+    assert metrics["pairs.emitted"] > 0

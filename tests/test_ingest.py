@@ -1,5 +1,6 @@
 """Repository walking, language selection, content canonicalization."""
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -123,8 +124,9 @@ def test_manifest_roundtrip(tmp_path):
     write_repo(tmp_path / "repo", {"a.c": "int a;", "sub/b.java": "class B {}", "c\u2028d.c": "int c;"})
     m = ingest_repository(tmp_path / "repo")
     out = tmp_path / "out"
-    path = write_manifest(m, out)
+    path, digest = write_manifest(m, out)
     assert path.name == "manifest.jsonl"
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back = load_manifest(path)
     assert back.counts == m.counts
     assert [r.file_id for r in back.files] == [r.file_id for r in m.files]
@@ -152,6 +154,13 @@ def test_manifest_writes_and_reads_each_content_once(tmp_path, monkeypatch):
     assert sorted(writes) == sorted({r.file_id for r in m.files})
     same, copy, _ = load_manifest(tmp_path / "out").files
     assert same.file_id == copy.file_id and same.content is copy.content
+
+
+def test_identical_files_share_one_content(tmp_path):
+    write_repo(tmp_path, {"a/same.c": "int a;", "b/copy.c": "int a;", "c.c": "int c;"})
+    same, copy, other = ingest_repository(tmp_path).files
+    assert same.content is copy.content
+    assert other.content is not same.content
 
 
 def test_record_by_id(tmp_path):

@@ -1,17 +1,19 @@
 """Pair construction, filtering, holdout, leakage, and post-hoc audits."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 from conftest import make_record
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_leakage_scan
 
 from scopekit.errors import InvalidConfigError
 from scopekit.pairs import (
     DEFAULT_EOT_TOKEN,
+    FilePairs,
     MATCH_EXACT_LABEL,
     MATCH_SUBSTRING,
     CompletionPair,
@@ -20,6 +22,7 @@ from scopekit.pairs import (
     apply_filters,
     check_contiguity,
     check_pair_bounds,
+    count_pairs,
     dataset_card,
     exclude_holdout,
     leakage_scan,
@@ -366,9 +369,46 @@ def test_written_json_is_sorted_and_unicode(tmp_path):
     assert "café" in line  # ensure_ascii off
 
 
+# Everything JSON escapes (quotes, backslashes, controls, CRLF), what it does
+# not (DEL, U+2028) and characters of two to four UTF-8 bytes, which the
+# query cut and the random-start shifts must snap around.
+_WRITER_TEXT = st.lists(
+    st.sampled_from(["a", "{", '"', "\\", "\r\n", "\n", "\t", "\x00", "\x01", "\x1f", "\x7f", "\u2028", "é", "€", "𝄞"]),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    files=st.lists(st.tuples(_WRITER_TEXT, _WRITER_TEXT, _WRITER_TEXT), min_size=1, max_size=3),
+    max_prefix=st.integers(0, 16),
+    eot_token=st.sampled_from([DEFAULT_EOT_TOKEN, '"\\eot\\"', "", "\u2028𝄞"]),
+    category=st.sampled_from(list(ScopeCategory)),
+)
+def test_pair_writer_matches_json_dumps(tmp_path, files, max_prefix, eot_token, category):
+    """Rows cut from each file's escaped content, and rows of bare pairs, are
+    the bytes json.dumps gives vars(pair)."""
+    cfg = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0, max_prefix_bytes=max_prefix)
+    groups = []
+    for i, (prefix, body, suffix) in enumerate(files):
+        content = f"{prefix}{{{body}}}{suffix}".encode()
+        start = len(prefix.encode()) + 1
+        cand = candidate(content, start, start + len(body.encode()), file_id=f"{i}\"\\{i}", category=category)
+        pairs = [make_primary_pair(cand, content, cfg, eot_token)]
+        pairs += make_random_start_pairs(cand, content, cfg, eot_token, k=3, seed=i)
+        groups.append(FilePairs(content, pairs))
+    pairs = [p for g in groups for p in g.pairs]
+    oracle = "".join(json.dumps(vars(p), sort_keys=True, ensure_ascii=False) + "\n" for p in pairs).encode()
+    for items in (groups, pairs):
+        path = tmp_path / "pairs.jsonl"
+        digest = write_pairs(items, path)
+        assert path.read_bytes() == oracle
+        assert digest == hashlib.sha256(oracle).hexdigest()
+
+
 def test_dataset_card_counts():
     pa, pb = two_pairs()
-    card = dataset_card([pa, pb], FilterConfig())
+    card = dataset_card(count_pairs([pa, pb]), FilterConfig())
     assert card["total_pairs"] == 2
     assert card["by_kind"] == {"primary": 2}
     assert card["by_category"] == {"func_body": 2}

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,65 @@ def test_ft_export_fixture_corpus_golden_hashes(tmp_path):
         "train_pairs.jsonl": "551b9f3c6e25009638bad380fece3ca4a569eed4a37e5da9879e4e08721d0592",
         "scopes.jsonl": "768f09eeed8dc8a5b29a71f5569021f830c664bcfb1714edd1f3c65d84342c63",
     }
+
+
+def test_ft_export_fixture_corpus_holdout_golden_hashes(tmp_path):
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    cfg = PipelineConfig(
+        repo_root=corpus,
+        output_dir=tmp_path / "out",
+        random_starts=2,
+        seed=1,
+        holdout_paths=("checksum.c", "geometry.hpp", "tracer.cpp"),
+    )
+    out = run_pipeline(cfg, Mode.FT_EXPORT).out_dir
+    digest = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("train_pairs.jsonl", "holdout_pairs.jsonl")
+    }
+    assert digest == {
+        "train_pairs.jsonl": "b3051393ea23502a823a9d0d687500d53857faf1a1ce5a2d6e7a9d43a9cb1a82",
+        "holdout_pairs.jsonl": "7421b7fd748e554045c639d843e4739a5b8cb098c181538c4876b53492d498fe",
+    }
+
+
+def test_ft_export_streams_pairs(tmp_path):
+    """Pairs are built and written one file at a time, so the run's heap
+    peak stays far below the size of the training file it writes."""
+    files = {f"src/mod_{i:02d}.c": f"/* module {i} */\n" + c_file_with_scopes(30, pad=3000) for i in range(30)}
+    write_repo(tmp_path / "repo", files)
+    cfg = PipelineConfig(repo_root=tmp_path / "repo", output_dir=tmp_path / "out", random_starts=2, seed=1)
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg, Mode.FT_EXPORT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "out" / "train_pairs.jsonl").stat().st_size
+    assert size >= 5_000_000
+    assert peak < size / 2
+
+
+def test_jsonl_outputs_hashed_while_written(tmp_path, monkeypatch):
+    import scopekit.pipeline
+
+    read_back = []
+    real_sha256_file = scopekit.pipeline._sha256_file
+
+    def recording_sha256_file(path):
+        read_back.append(Path(path).name)
+        return real_sha256_file(path)
+
+    monkeypatch.setattr(scopekit.pipeline, "_sha256_file", recording_sha256_file)
+    out = run_pipeline(base_config(tmp_path, holdout_paths=("src/mod_1.c",)), Mode.FT_EXPORT).out_dir
+    assert read_back == ["dataset_card.json"]
+    stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+    outputs = {rel: digest for s in stages for rel, digest in s["outputs"].items()}
+    assert {"ingest/manifest.jsonl", "scopes.jsonl", "train_pairs.jsonl", "holdout_pairs.jsonl"} <= set(outputs)
+    for rel, digest in outputs.items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+    for s in stages:  # every input is an earlier stage's output, under the hash recorded for it
+        assert set(s["inputs"].values()) <= set(outputs.values()), s["stage"]
 
 
 def test_run_manifest_hashes_recompute(tmp_path):
