@@ -56,17 +56,17 @@ with tempfile.TemporaryDirectory() as root:
     for name, text in MODULES.items():
         (Path(root) / name).write_text(text, encoding="utf-8")
     manifest = ingest_repository(root)
-    # the index holds primary pairs only; nothing is held out
-    config = PipelineConfig(repo_root=Path(root), output_dir=Path(root), random_starts=0)
+    config = PipelineConfig(repo_root=Path(root), output_dir=Path(root))  # nothing is held out
 
 train, _ = split_pairs(extract_all_scopes(manifest), manifest, config)
 pairs = [p for f in train for p in f.pairs]
-print(f"indexing {len(pairs)} primary pairs")
 
 # The built-in embedder hashes character n-grams into a fixed-width
 # vector: no model weights, byte-for-byte reproducible across machines.
+# The index keys the primary pairs; random-start pairs are skipped.
 embedder = HashingEmbedder()
 index = index_build(pairs, embedder)
+print(f"indexed {len(index)} primary pairs of {len(pairs)}")
 print(f"index: {len(index)} entries, dimension={index.dimension}, embedder={index.embedder_id}")
 
 # A fresh query that resembles the checksum module more than the others.
@@ -77,8 +77,9 @@ for pair_id, score in neighbors:
     value = index.value_for(pair_id)
     print(f"  {score:+.4f}  {pair_id[:12]}...  {value[:48]!r}")
 
-# The augmented prompt places retrieved examples ahead of the query as
-# comment blocks, best match closest to the query, under a byte budget.
-prompt = augment_query(query, neighbors, index, n_used=2, budget_bytes=2048)
+# The augmented prompt places the retrieved examples it is given (here the
+# best two) ahead of the query as comment blocks, best match closest to
+# the query, under a byte budget.
+prompt = augment_query(query, neighbors[:2], index, budget_bytes=2048)
 print("\naugmented prompt:")
 print(prompt)

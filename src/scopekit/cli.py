@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -20,7 +21,7 @@ from .ingest import ingest_repository, load_manifest, write_manifest
 from .jsonl import read_jsonl
 from .metrics import read_tests_jsonl, score_to_files
 from .pairs import leakage_scan, read_pairs, write_leakage_report, write_pairs
-from .pipeline import Mode, extract_all_scopes, run_pipeline, run_sweep, split_pairs
+from .pipeline import Mode, counted, extract_all_scopes, run_pipeline, run_sweep, split_pairs
 from .ragindex import VectorIndex, augment_query, index_build, knn_search, make_embedder
 from .scopes import read_scopes, write_scopes
 
@@ -96,13 +97,17 @@ def _cmd_pairs(args) -> int:
     manifest = load_manifest(args.manifest)
     candidates = read_scopes(args.scopes)
     records = manifest.record_by_id()
-    unknown = next((c.file_id for c in candidates if c.file_id not in records), None)
-    if unknown is not None:
-        raise ValueError(f"{args.scopes}: file_id {unknown} is not in manifest {args.manifest}")
+    for c in candidates:
+        if c.file_id not in records:
+            raise ValueError(f"{args.scopes}: file_id {c.file_id} is not in manifest {args.manifest}")
+        start, end, byte_len = c.start_byte, c.end_byte, records[c.file_id].byte_len
+        consistent = c.size_bytes == end - start and c.prefix_available_bytes == start
+        if not (consistent and 1 <= start <= end < byte_len):
+            raise ValueError(f"{args.scopes}: scope [{start}, {end}) does not fit file_id {c.file_id} ({byte_len} bytes)")
     train, _ = split_pairs(candidates, manifest, cfg)
-    files = list(train)
-    write_pairs(files, args.out)
-    print(f"wrote {sum(len(f.pairs) for f in files)} pairs -> {args.out}")
+    counts: Counter = Counter()
+    write_pairs(counted(train, counts), args.out)
+    print(f"wrote {sum(counts.values())} pairs -> {args.out}")
     return EXIT_OK
 
 
@@ -123,8 +128,7 @@ def _cmd_leak_scan(args) -> int:
 
 def _cmd_index_build(args) -> int:
     cfg = _config(args)
-    pairs = [p for p in read_pairs(args.pairs) if p.kind.value == "primary"]
-    index = index_build(pairs, make_embedder(cfg.embedder, cfg.embedding_dimension))
+    index = index_build(read_pairs(args.pairs), make_embedder(cfg.embedder, cfg.embedding_dimension))
     index.save(args.out)
     print(f"indexed {len(index)} entries (dim {index.dimension}) -> {args.out}")
     return EXIT_OK
@@ -143,7 +147,7 @@ def _cmd_index_query(args) -> int:
     results = knn_search(index, vec, cfg.n_neighbors)
     print(json.dumps([{"pair_id": pid, "similarity": sim} for pid, sim in results], indent=2))
     if args.augment:
-        print(augment_query(query, results, index, cfg.n_neighbors, cfg.budget_bytes))
+        print(augment_query(query, results, index, cfg.budget_bytes))
     return EXIT_OK
 
 

@@ -130,8 +130,8 @@ def sweep_points(filters: FilterConfig, sweep: dict[str, list], problems: list[s
     """Every point of a sweep grid (keys sorted, the last varying fastest)
     and the filters it gives laid over ``filters``, each point parsed as a
     filters block of the config file is."""
-    if not all(isinstance(v, list) for v in sweep.values()):
-        problems.append("sweep must map config keys to lists of values")
+    if not all(isinstance(v, list) and v for v in sweep.values()):
+        problems.append("sweep must map config keys to non-empty lists of values")
         return []
     keys = sorted(sweep)
     bad = [k for k in keys if not (k.startswith("filters.") and k in SETTINGS)]

@@ -221,6 +221,12 @@ def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
     header, *file_rows = rows
     # one read per distinct content; records with the same file_id share its bytes
     contents = {fid: (objects / fid).read_bytes() for fid in {d["file_id"] for d in file_rows}}
+    for fid, content in contents.items():
+        if _file_id(content) != fid:
+            raise ValueError(f"{objects / fid}: content does not hash to its file_id")
+    for d in file_rows:
+        if len(contents[d["file_id"]]) != d["byte_len"]:
+            raise ValueError(f"{objects / d['file_id']}: length is not its manifest row's byte_len {d['byte_len']}")
     files = [
         FileRecord(
             file_id=d["file_id"],

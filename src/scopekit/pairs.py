@@ -372,36 +372,28 @@ def _utf8_len(text: str) -> int:
 _json_field = functools.lru_cache(maxsize=256)(json_string)
 
 
-def _pair_row(p: CompletionPair, label: bytes, query: bytes) -> bytes:
-    return _PAIR_ROW % (
-        _json_field(p.category), _json_field(p.eot_token), _json_field(p.file_id), _json_field(p.kind),
-        label, p.mask_len, json_string(p.pair_id), query, p.scope_start_byte, p.start_shift_bytes,
-    )
-
-
-def _pair_rows(items: Iterable[CompletionPair | FilePairs]) -> Iterator[bytes]:
-    for item in items:
-        if isinstance(item, CompletionPair):
-            yield _pair_row(item, json_string(item.label), json_string(item.query))
-            continue
-        escaped = EscapedUTF8(item.content)
-        for p in item.pairs:
+def _pair_rows(files: Iterable[FilePairs]) -> Iterator[bytes]:
+    for content, pairs in files:
+        escaped = EscapedUTF8(content)
+        for p in pairs:
             part = p.scope_start_byte + p.start_shift_bytes
             label_end = part + _utf8_len(p.label) - _utf8_len(p.eot_token)
-            label = escaped.slice(part, label_end) + _json_field(p.eot_token)
-            yield _pair_row(p, label, escaped.slice(part - _utf8_len(p.query), part))
+            yield _PAIR_ROW % (
+                _json_field(p.category), _json_field(p.eot_token), _json_field(p.file_id), _json_field(p.kind),
+                escaped.slice(part, label_end) + _json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
+                escaped.slice(part - _utf8_len(p.query), part), p.scope_start_byte, p.start_shift_bytes,
+            )
 
 
-def write_pairs(pairs: Iterable[CompletionPair | FilePairs], path: str | Path) -> str:
-    """Write each pair as the JSONL row write_jsonl gives vars(pair); returns
-    the sha256 hex digest of the file.
+def write_pairs(files: Iterable[FilePairs], path: str | Path) -> str:
+    """Write each file's pairs as the JSONL rows write_jsonl gives
+    vars(pair); returns the sha256 hex digest of the file.
 
-    A FilePairs item's content is escaped once, and each of its pairs'
-    query and label (the eot token aside) is written as a slice of that:
-    the pairs must have been cut from that content. A bare pair's strings
-    are escaped on their own.
+    Each file's content is escaped once, and each of its pairs' query and
+    label (the eot token aside) is written as a slice of that: the pairs
+    must have been cut from that content.
     """
-    return write_lines(_pair_rows(pairs), path)
+    return write_lines(_pair_rows(files), path)
 
 
 def read_pairs(path: str | Path) -> list[CompletionPair]:

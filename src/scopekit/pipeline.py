@@ -189,7 +189,8 @@ def _stage_scopes(runner: _Runner, config: PipelineConfig) -> _Scoped:
     return candidates, manifest
 
 
-def _counted(files: Iterable[FilePairs], counts: Counter) -> Iterator[FilePairs]:
+def counted(files: Iterable[FilePairs], counts: Counter) -> Iterator[FilePairs]:
+    """``files`` passed through, their count_pairs added to ``counts`` as each goes by."""
     for f in files:
         counts.update(count_pairs(f.pairs))
         yield f
@@ -212,7 +213,7 @@ def _stage_pairs(
         train, held = split_pairs(*scoped, config)
         if keep:
             train, held = list(train), list(held)
-        hashed[train_path] = write_pairs(_counted(train, counts), train_path)
+        hashed[train_path] = write_pairs(counted(train, counts), train_path)
         hashed[held_path] = write_pairs(held, held_path)
     if not keep:
         return counts, [], []
@@ -254,7 +255,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         tests = [p for p in held if p.kind is PairKind.PRIMARY]
         if not tests:
             raise ValueError("holdout files produced no test pairs")
-        index = ragindex.index_build([p for p in train if p.kind is PairKind.PRIMARY], embedder)
+        index = ragindex.index_build(train, embedder)
         index.save(index_path)
 
     leak_path = out / "leakage_report.jsonl"
@@ -273,10 +274,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         vectors = embedder.embed_texts([p.query for p in tests])
         for p, vec in zip(tests, vectors):
             neighbors = ragindex.knn_search(index, vec, config.n_neighbors)
-            prompt = ragindex.augment_query(
-                p.query, neighbors, index, config.n_neighbors, config.budget_bytes
-            )
-            prompts.append((p.pair_id, prompt))
+            prompts.append((p.pair_id, ragindex.augment_query(p.query, neighbors, index, config.budget_bytes)))
         template = client.GenerationRequest(
             prompt="",
             max_new_tokens=config.gen_max_new_tokens,

@@ -8,6 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -183,29 +184,25 @@ class VectorIndex:
     keys: np.ndarray  # (count, dimension) float32
     values: list[str]
 
-    def __post_init__(self):
-        self._norms = None
-        self._ranks = None
-        self._value_by_id = None
-
     def __len__(self) -> int:
         return len(self.pair_ids)
 
+    @functools.cached_property
     def norms(self) -> np.ndarray:
-        if self._norms is None:
-            self._norms = np.linalg.norm(self.keys.astype(np.float64), axis=1)
-        return self._norms
+        return np.linalg.norm(self.keys.astype(np.float64), axis=1)
 
+    @functools.cached_property
     def ranks(self) -> np.ndarray:
         """Each entry's position in ascending pair_id order."""
-        if self._ranks is None:
-            self._ranks = np.empty(len(self), dtype=np.int64)
-            self._ranks[sorted(range(len(self)), key=self.pair_ids.__getitem__)] = np.arange(len(self))
-        return self._ranks
+        ranks = np.empty(len(self), dtype=np.int64)
+        ranks[sorted(range(len(self)), key=self.pair_ids.__getitem__)] = np.arange(len(self))
+        return ranks
+
+    @functools.cached_property
+    def _value_by_id(self) -> dict[str, str]:
+        return dict(zip(self.pair_ids, self.values))
 
     def value_for(self, pair_id: str) -> str:
-        if self._value_by_id is None:
-            self._value_by_id = dict(zip(self.pair_ids, self.values))
         return self._value_by_id[pair_id]
 
     def save(self, path: str | Path) -> None:
@@ -263,15 +260,13 @@ class VectorIndex:
 
 
 def index_build(pairs: Iterable[CompletionPair], embedder) -> VectorIndex:
-    """Embed every primary pair's query; label minus eot becomes the value.
+    """Embed the query of each primary pair given (pairs of other kinds are
+    skipped); its label minus eot becomes the value.
 
     Entry order follows input order, so rebuilding from the same pairs with
     the same embedder serializes byte-identically.
     """
-    pair_list = list(pairs)
-    non_primary = [p.pair_id for p in pair_list if p.kind is not PairKind.PRIMARY]
-    if non_primary:
-        raise ValueError(f"index_build takes primary pairs only; got {non_primary[:3]}")
+    pair_list = [p for p in pairs if p.kind is PairKind.PRIMARY]
     ids = [p.pair_id for p in pair_list]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate pair_ids in index input")
@@ -313,14 +308,14 @@ def knn_search(index: VectorIndex, query_vec: np.ndarray, n: int) -> list[tuple[
     if count == 0:
         return []
     qnorm = float(np.linalg.norm(q))
-    norms = index.norms()
+    norms = index.norms
     if qnorm == 0.0:
         sims = np.zeros(count, dtype=np.float64)
     else:
         dots = index.keys.astype(np.float64) @ q
         denom = norms * qnorm
         sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
-    order = np.lexsort((index.ranks(), -sims))[:n]
+    order = np.lexsort((index.ranks, -sims))[:n]
     return [(index.pair_ids[i], float(sims[i])) for i in order]
 
 
@@ -328,20 +323,18 @@ def augment_query(
     query: str,
     neighbors: list[tuple[str, float]],
     index: VectorIndex,
-    n_used: int = 3,
     budget_bytes: int = 6144,
 ) -> str:
-    """Frame retrieved labels as comment blocks ahead of the query.
+    """Frame every retrieved label as a comment block ahead of the query.
 
     Blocks are laid out least-similar first, so budget truncation drops
     whole blocks from the front (worst neighbor first); headers are
     numbered by similarity rank. The query itself is never truncated: if
     not even one block fits, the query comes back verbatim.
     """
-    used = neighbors[:n_used]
     blocks = [
         f"/* retrieved example {rank} */\n{index.value_for(pid)}\n"
-        for rank, (pid, _) in enumerate(used, start=1)
+        for rank, (pid, _) in enumerate(neighbors, start=1)
     ]
     blocks.reverse()  # least similar at the front
     query_bytes = len(query.encode("utf-8"))

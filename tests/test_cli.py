@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,27 @@ def test_stage_chain(tmp_path, repo, capsys):
         ]
     ) == EXIT_OK
     assert (out / "train.index").stat().st_size > 0
+
+
+def test_pairs_streams(tmp_path):
+    """`pairs` builds and writes one file's pairs at a time, as `run` does,
+    so its heap peak stays far below the size of the file it writes."""
+    files = {f"src/mod_{i:02d}.c": f"/* module {i} */\n" + c_file_with_scopes(30, pad=3000) for i in range(30)}
+    write_repo(tmp_path / "repo", files)
+    assert run(["ingest", "--root", tmp_path / "repo", "--out", tmp_path / "ingest"]) == EXIT_OK
+    assert run(["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "scopes.jsonl"]) == EXIT_OK
+    out = tmp_path / "pairs.jsonl"
+    tracemalloc.start()
+    try:
+        argv = ["pairs", "--scopes", tmp_path / "scopes.jsonl", "--manifest", tmp_path / "ingest",
+                "--random-starts", 2, "--seed", 1, "--out", out]
+        assert run(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size >= 5_000_000
+    assert peak < size / 2
 
 
 def test_stage_chain_matches_pipeline_on_duplicate_content(tmp_path):
@@ -442,6 +464,20 @@ def _manifest_bad_byte_len(tmp_path, repo):
     return argv, f"{manifest}:2: byte_len: expected int, got str"
 
 
+def _scope_past_file_end(tmp_path, repo):
+    run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
+    run(["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "scopes.jsonl"])
+    scopes_file = tmp_path / "scopes.jsonl"
+    first, *rest = scopes_file.read_text().splitlines()
+    row = json.loads(first)
+    row["end_byte"] += 10_000
+    row["size_bytes"] += 10_000
+    scopes_file.write_text("\n".join([json.dumps(row), *rest]) + "\n")
+    argv = ["pairs", "--scopes", scopes_file, "--manifest", tmp_path / "ingest", "--max-scope-bytes", 100_000,
+            "--min-prefix-bytes", 0, "--random-starts", 3, "--out", tmp_path / "p.jsonl"]
+    return argv, f"{scopes_file}: scope [{row['start_byte']}, {row['end_byte']}) does not fit file_id {row['file_id']}"
+
+
 def _truncated_index(tmp_path, repo):
     pairs_file = tmp_path / "pairs.jsonl"
     pairs_file.write_text("")
@@ -474,6 +510,7 @@ def _empty_manifest(tmp_path, repo):
         _pairs_bogus_kind,
         _scopes_bogus_category,
         _manifest_bad_byte_len,
+        _scope_past_file_end,
         _truncated_index,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
@@ -525,9 +562,10 @@ def _sweep_config(tmp_path, repo, grid):
         ({"filters.bogus": [1]}, "sweep keys must name a filter"),
         ({"filters.min_scope_bytes": [0, "x"]}, "filters.min_scope_bytes must be an integer"),
         ({"filters.exclude_keywords": ["return"]}, "filters.exclude_keywords must be a list of strings"),
+        ({"filters.max_depth": []}, "sweep must map config keys to non-empty lists of values"),
     ],
     ids=["lang-other", "lang-bogus", "max-file-bytes", "random-starts", "logging-pattern", "dimension",
-         "sweep-type", "sweep-key", "sweep-second-point", "sweep-keywords"],
+         "sweep-type", "sweep-key", "sweep-second-point", "sweep-keywords", "sweep-empty"],
 )
 def test_bad_setting_is_a_config_error(tmp_path, repo, capsys, argv, problem):
     if isinstance(argv, dict):

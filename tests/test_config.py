@@ -239,6 +239,7 @@ def test_sweep_rejects_non_filter_keys(tmp_path):
         ({"filters.exclude_keywords": ["return"]}, "filters.exclude_keywords must be a list of strings"),
         ({"filters.max_scope_bytes": [5], "filters.min_scope_bytes": [0, 10]}, "max_scope_bytes must be >="),
         ({"filters.category_allowlist": [["nonsense"]]}, "unknown category 'nonsense'"),
+        ({"filters.max_depth": []}, "sweep must map config keys to non-empty lists of values"),
     ],
 )
 def test_bad_sweep_point_fails_at_load(tmp_path, sweep, problem):

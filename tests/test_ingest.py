@@ -1,7 +1,9 @@
 """Repository walking, language selection, content canonicalization."""
 
 import hashlib
+import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -154,6 +156,22 @@ def test_manifest_writes_and_reads_each_content_once(tmp_path, monkeypatch):
     assert sorted(writes) == sorted({r.file_id for r in m.files})
     same, copy, _ = load_manifest(tmp_path / "out").files
     assert same.file_id == copy.file_id and same.content is copy.content
+
+
+@pytest.mark.parametrize("corrupt", ["object", "byte_len"])
+def test_load_manifest_checks_each_object(tmp_path, corrupt):
+    write_repo(tmp_path / "repo", {"a.c": "int a;", "b.c": "int b;"})
+    path, _ = write_manifest(ingest_repository(tmp_path / "repo"), tmp_path / "out")
+    header, first, *rest = path.read_text().splitlines()
+    row = json.loads(first)
+    obj = tmp_path / "out" / "objects" / row["file_id"]
+    if corrupt == "object":
+        obj.write_bytes(b"//" + obj.read_bytes()[2:])
+    else:
+        row["byte_len"] += 1
+        path.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(obj))}: "):
+        load_manifest(path)
 
 
 def test_identical_files_share_one_content(tmp_path):

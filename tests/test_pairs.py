@@ -350,11 +350,12 @@ def test_leakage_scan_matches_oracle(train, tests, eot_token):
 
 def test_write_read_roundtrip(tmp_path):
     pa, pb = two_pairs()
+    files = [FilePairs(b"..{aaaa}", [pa]), FilePairs(b"..{bbbb}", [pb])]
     path = tmp_path / "pairs.jsonl"
-    write_pairs(sorted([pb, pa], key=pairs_sort_key), path)
+    write_pairs(files, path)
     assert read_pairs(path) == [pa, pb]
     raw = path.read_bytes()
-    write_pairs([pa, pb], path)
+    write_pairs(files, path)
     assert path.read_bytes() == raw  # byte-identical rewrite
 
 
@@ -362,7 +363,7 @@ def test_written_json_is_sorted_and_unicode(tmp_path):
     content = "..{café!!}".encode()
     p = make_primary_pair(candidate(content, 3, 9), content, LOOSE)
     path = tmp_path / "pairs.jsonl"
-    write_pairs([p], path)
+    write_pairs([FilePairs(content, [p])], path)
     line = path.read_text(encoding="utf-8").splitlines()[0]
     d = json.loads(line)
     assert list(d) == sorted(d)
@@ -386,8 +387,8 @@ _WRITER_TEXT = st.lists(
     category=st.sampled_from(list(ScopeCategory)),
 )
 def test_pair_writer_matches_json_dumps(tmp_path, files, max_prefix, eot_token, category):
-    """Rows cut from each file's escaped content, and rows of bare pairs, are
-    the bytes json.dumps gives vars(pair)."""
+    """Rows cut from each file's escaped content are the bytes json.dumps
+    gives vars(pair)."""
     cfg = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0, max_prefix_bytes=max_prefix)
     groups = []
     for i, (prefix, body, suffix) in enumerate(files):
@@ -399,11 +400,10 @@ def test_pair_writer_matches_json_dumps(tmp_path, files, max_prefix, eot_token, 
         groups.append(FilePairs(content, pairs))
     pairs = [p for g in groups for p in g.pairs]
     oracle = "".join(json.dumps(vars(p), sort_keys=True, ensure_ascii=False) + "\n" for p in pairs).encode()
-    for items in (groups, pairs):
-        path = tmp_path / "pairs.jsonl"
-        digest = write_pairs(items, path)
-        assert path.read_bytes() == oracle
-        assert digest == hashlib.sha256(oracle).hexdigest()
+    path = tmp_path / "pairs.jsonl"
+    digest = write_pairs(groups, path)
+    assert path.read_bytes() == oracle
+    assert digest == hashlib.sha256(oracle).hexdigest()
 
 
 def test_dataset_card_counts():
