@@ -8,6 +8,7 @@ the sha256 of the bytes they wrote, hashed as they are written.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import json
@@ -24,6 +25,10 @@ _escape = json.encoder.encode_basestring
 def json_string(text: str) -> bytes:
     """``text`` as a UTF-8 JSON string, without its quotes."""
     return _escape(text)[1:-1].encode("utf-8")
+
+
+# for the short strings that repeat from row to row: enum values, file ids
+json_field = functools.lru_cache(maxsize=256)(json_string)
 
 
 def write_lines(lines: Iterable[bytes], path: str | Path) -> str:

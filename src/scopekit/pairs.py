@@ -9,7 +9,6 @@ strings stay decodable; offsets remain byte offsets into canonical content.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import itertools
 import logging
@@ -23,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, get_type_hints
 
 from .errors import InvalidConfigError
 from .ingest import FileRecord
-from .jsonl import EscapedUTF8, json_string, read_jsonl, write_jsonl, write_lines
+from .jsonl import EscapedUTF8, json_field, json_string, read_jsonl, write_jsonl, write_lines
 from .scopes import ScopeCandidate, ScopeCategory
 
 logger = logging.getLogger(__name__)
@@ -368,10 +367,6 @@ def _utf8_len(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
-# category, kind, eot token and file_id repeat from row to row
-_json_field = functools.lru_cache(maxsize=256)(json_string)
-
-
 def _pair_rows(files: Iterable[FilePairs]) -> Iterator[bytes]:
     for content, pairs in files:
         escaped = EscapedUTF8(content)
@@ -379,8 +374,8 @@ def _pair_rows(files: Iterable[FilePairs]) -> Iterator[bytes]:
             part = p.scope_start_byte + p.start_shift_bytes
             label_end = part + _utf8_len(p.label) - _utf8_len(p.eot_token)
             yield _PAIR_ROW % (
-                _json_field(p.category), _json_field(p.eot_token), _json_field(p.file_id), _json_field(p.kind),
-                escaped.slice(part, label_end) + _json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
+                json_field(p.category), json_field(p.eot_token), json_field(p.file_id), json_field(p.kind),
+                escaped.slice(part, label_end) + json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
                 escaped.slice(part - _utf8_len(p.query), part), p.scope_start_byte, p.start_shift_bytes,
             )
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import requests
@@ -32,12 +33,23 @@ logger = logging.getLogger(__name__)
 DEFAULT_DIMENSION = 384
 _NGRAM_SIZES = (3, 4)  # HashingEmbedder's; part of its embedder_id, so of every index file
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # RemoteEmbedder's bound on a vector entry
+
 _MAGIC = b"SCOPEIDX"
 _VERSION = 1
 
 # splitmix64 finalizer constants; all uint64 arithmetic wraps mod 2**64.
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SALTS = tuple(np.uint64((n * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) for n in _NGRAM_SIZES)
+
+# A text continues the run of the text before it when its first _HEAD_BYTES
+# occur in that text at a place from which the run's bytes agree with it; at
+# most _MAX_CANDIDATES such places are tried. A run stops growing at
+# _MAX_RUN_BYTES, which keeps the hashing temporaries cache-sized.
+_HEAD_BYTES = 32
+_MAX_CANDIDATES = 16
+_MAX_RUN_BYTES = 1 << 16
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -50,6 +62,62 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _offset_in_run(data: bytes, run: bytearray, prev: bytes, prev_at: int) -> int:
+    """An offset in ``run`` from which its bytes agree with ``data`` for as
+    far as both go, found in ``prev``, the run's last text, at ``prev_at``;
+    -1 if there is none or ``data`` would grow the run past its cap."""
+    head = data[:_HEAD_BYTES]
+    found = prev.find(head)
+    for _ in range(_MAX_CANDIDATES):
+        at = prev_at + found
+        if found < 0 or at + len(data) > _MAX_RUN_BYTES:
+            return -1
+        if data.startswith(run[at : at + len(data)]):
+            return at
+        found = prev.find(head, found + 1)
+    return -1
+
+
+def _runs(texts: Sequence[str]) -> Iterator[tuple[bytearray, list[tuple[int, int, int]]]]:
+    """The texts' UTF-8 bytes as runs of overlapping texts, in text order:
+    (run bytes, [(text index, offset in run, byte length)]). Empty texts are
+    left out, with a warning each."""
+    run = bytearray()
+    spans: list[tuple[int, int, int]] = []
+    prev, prev_at = b"", 0
+    for i, text in enumerate(texts):
+        data = text.encode("utf-8")
+        if not data:
+            logger.warning("embedding empty text: zero vector")
+            continue
+        at = _offset_in_run(data, run, prev, prev_at)
+        if at < 0:
+            if spans:
+                yield run, spans
+            run, spans, at = bytearray(), [], 0
+        run += data[len(run) - at :]
+        spans.append((i, at, len(data)))
+        prev, prev_at = data, at
+    if spans:
+        yield run, spans
+
+
+def _ngram_keys(run: bytearray, dimension: int) -> list[np.ndarray]:
+    """Per n-gram size, the key 2 * bucket + sign bit of the n-gram starting
+    at each position of ``run``."""
+    raw = np.frombuffer(run, dtype=np.uint8).astype(np.uint64)
+    dim = np.uint64(dimension)
+    keys = []
+    codes, width = raw, 1  # codes[i]: run[i : i + width] as a big-endian integer
+    with np.errstate(over="ignore"):
+        for n, salt in zip(_NGRAM_SIZES, _SALTS):
+            for width in range(width + 1, n + 1):
+                codes = (codes[:-1] << np.uint64(8)) | raw[width - 1 :]
+            mixed = _mix64(codes ^ salt)
+            keys.append(((mixed % dim) << np.uint64(1) | mixed >> np.uint64(63)).astype(np.intp))
+    return keys
+
+
 class HashingEmbedder:
     """Deterministic char-n-gram feature hashing with signed buckets.
 
@@ -57,6 +125,12 @@ class HashingEmbedder:
     vector is a pure function of the text bytes, L2-normalized, float32.
     Not semantically clever, but stable across runs and machines, which is
     what the index contract needs.
+
+    Each run of overlapping texts (a window that starts inside the previous
+    one) is hashed once, and each text's vector is counted from its slice
+    of the run's n-gram keys. The counts are exact, so a vector does not
+    depend on the texts around it; the order only decides how much hashing
+    is shared.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
@@ -69,37 +143,28 @@ class HashingEmbedder:
         grams = "-".join(str(n) for n in _NGRAM_SIZES)
         return f"builtin-ngram-hash/d{self.dimension}/n{grams}"
 
-    def embed(self, text: str) -> np.ndarray:
-        if not text:
-            logger.warning("embedding empty text: zero vector")
-            return np.zeros(self.dimension, dtype=np.float32)
-        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
-        acc = np.zeros(self.dimension, dtype=np.float64)
-        dim = np.uint64(self.dimension)
-        with np.errstate(over="ignore"):
-            for n in _NGRAM_SIZES:
-                if len(raw) < n:
-                    continue
-                codes = np.zeros(len(raw) - n + 1, dtype=np.uint64)
-                for j in range(n):
-                    codes = (codes << np.uint64(8)) | raw[j : len(raw) - n + 1 + j]
-                salt = np.uint64((n * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
-                mixed = _mix64(codes ^ salt)
-                idx = (mixed % dim).astype(np.int64)
-                signs = np.where(mixed >> np.uint64(63), -1.0, 1.0)
-                np.add.at(acc, idx, signs)
-        norm = float(np.linalg.norm(acc))
-        if norm == 0.0:
-            return np.zeros(self.dimension, dtype=np.float32)
-        return (acc / norm).astype(np.float32)
-
-    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+    def _vectors(self, texts: Sequence[str]) -> np.ndarray:
         # filled in place: stacking one array per text leaves that many freed
         # blocks in the heap, which stays resident and raises peak RSS
-        out = np.empty((len(texts), self.dimension), dtype=np.float32)
-        for i, t in enumerate(texts):
-            out[i] = self.embed(t)
+        out = np.zeros((len(texts), self.dimension), dtype=np.float32)
+        for run, spans in _runs(texts):
+            keys = _ngram_keys(run, self.dimension)
+            for i, at, length in spans:
+                counts = np.zeros(2 * self.dimension, dtype=np.intp)
+                for n, k in zip(_NGRAM_SIZES, keys):
+                    counts += np.bincount(k[at : at + max(length - n + 1, 0)], minlength=2 * self.dimension)
+                acc = counts[0::2] - counts[1::2]
+                # integer sums of squares are exact: this is float64 norm's sqrt(acc @ acc)
+                norm = math.sqrt(int(acc @ acc))
+                if norm:
+                    out[i] = acc / norm
         return out
+
+    def embed(self, text: str) -> np.ndarray:
+        return self._vectors([text])[0]
+
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        return self._vectors(texts)
 
 
 class RemoteEmbedder:
@@ -108,7 +173,8 @@ class RemoteEmbedder:
     Batches requests and keeps a bounded number in flight; batch order is
     preserved in the output. Any transport failure or non-200 raises
     EmbeddingServiceUnavailableError; a vector of the wrong width raises
-    DimensionMismatchError.
+    DimensionMismatchError; any other body than one list per text of
+    finite numbers raises MalformedResponseError.
     """
 
     def __init__(
@@ -145,6 +211,8 @@ class RemoteEmbedder:
             dim = int(body["dim"])
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"bad embed response: {exc}") from exc
+        if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
+            raise MalformedResponseError("embed endpoint returned vectors that are not a list of lists")
         if dim != self.dimension or any(len(v) != self.dimension for v in vectors):
             raise DimensionMismatchError(
                 f"embed endpoint returned dim {dim}, expected {self.dimension}"
@@ -153,6 +221,9 @@ class RemoteEmbedder:
             raise MalformedResponseError(
                 f"embed endpoint returned {len(vectors)} vectors for {len(batch)} texts"
             )
+        # a bool is no number, and NaN fails the comparison
+        if not all(type(x) in (int, float) and abs(x) <= _FLOAT32_MAX for v in vectors for x in v):
+            raise MalformedResponseError("embed endpoint returned a vector entry that is not a finite float32")
         return np.asarray(vectors, dtype=np.float32)
 
     def embed(self, text: str) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .ingest import FileRecord
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import json_field, read_jsonl, write_lines
 from .lexer import DelimiterSpan, ScanResult, Token, TokenWalker, scan
 
 logger = logging.getLogger(__name__)
@@ -269,8 +269,26 @@ def extract_scopes(
 _SCOPE_FIELDS = get_type_hints(ScopeCandidate)
 
 
+# write_jsonl's row for vars(candidate), keys sorted
+_SCOPE_ROW = (
+    b'{"category": "%s", "depth": %d, "end_byte": %d, "file_id": "%s", '
+    b'"prefix_available_bytes": %d, "size_bytes": %d, "start_byte": %d}\n'
+)
+
+
 def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> str:
-    return write_jsonl(map(vars, candidates), path)
+    """Write each candidate as the JSONL row write_jsonl gives vars(candidate);
+    returns the sha256 hex digest of the file."""
+    return write_lines(
+        (
+            _SCOPE_ROW % (
+                json_field(c.category), c.depth, c.end_byte, json_field(c.file_id),
+                c.prefix_available_bytes, c.size_bytes, c.start_byte,
+            )
+            for c in candidates
+        ),
+        path,
+    )
 
 
 def read_scopes(path: str | Path) -> list[ScopeCandidate]:

@@ -3,7 +3,8 @@
 These deliberately avoid the package's algorithms: the distance oracles
 are the textbook recursion and the full O(n*m) DP table, the knn oracle a
 brute-force sort, the leak-scan oracle a compare of every pair, the
-delimiter oracle a naive stack walk. Slow is fine; agreeing with
+delimiter oracle a naive stack walk, the embedding oracle one text's
+n-grams hashed one at a time on Python ints. Slow is fine; agreeing with
 production code by construction is not.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 
 def oracle_levenshtein(a: str, b: str) -> int:
@@ -125,3 +128,33 @@ def oracle_match_delimiters(text: str):
                 del stack[j:]
     pairs.sort()
     return pairs
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_finalize(x: int) -> int:
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def oracle_embed(text: str, dimension: int):
+    """HashingEmbedder's vector for one text: every 3- and 4-byte UTF-8
+    n-gram, read big-endian and salted by its size, adds +1 or -1 (the
+    finalized hash's top bit) to bucket hash % dimension; the sums, L2
+    normalized, as float32. The sums are exact integers, so the result is
+    bit-exact."""
+    data = text.encode("utf-8")
+    acc = [0] * dimension
+    for n in (3, 4):
+        salt = (n * 0x9E3779B97F4A7C15) & _MASK64
+        for i in range(len(data) - n + 1):
+            h = _splitmix64_finalize(int.from_bytes(data[i : i + n], "big") ^ salt)
+            acc[h % dimension] += -1 if h >> 63 else 1
+    norm = math.sqrt(sum(a * a for a in acc))
+    if norm == 0.0:
+        return np.zeros(dimension, dtype=np.float32)
+    return np.array([a / norm for a in acc], dtype=np.float32)

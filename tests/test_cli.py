@@ -196,6 +196,47 @@ def test_index_query_rejects_other_embedder_dim(tmp_path, repo, capsys, monkeypa
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "vectors_for, message",
+    [
+        (lambda texts: [[None] * 384 for _ in texts], "a vector entry that is not a finite float32"),
+        (lambda texts: 5, "vectors that are not a list of lists"),
+    ],
+    ids=["null-entries", "int"],
+)
+def test_index_build_rejects_malformed_remote_vectors(tmp_path, repo, capsys, monkeypatch, vectors_for, message):
+    from scopekit import ragindex
+
+    out = tmp_path / "w"
+    out.mkdir()
+    run(["ingest", "--root", repo, "--out", out / "ingest"])
+    run(["scopes", "--manifest", out / "ingest", "--out", out / "scopes.jsonl"])
+    run(["pairs", "--scopes", out / "scopes.jsonl", "--manifest", out / "ingest", "--out", out / "pairs.jsonl"])
+    capsys.readouterr()
+
+    class Answer:
+        status_code = 200
+
+        def __init__(self, texts):
+            self.texts = texts
+
+        def json(self):
+            return {"vectors": vectors_for(self.texts), "dim": 384}
+
+    monkeypatch.setattr(ragindex.requests, "post", lambda url, json, timeout: Answer(json["texts"]))
+    code = run(
+        ["index", "build", "--pairs", out / "pairs.jsonl", "--embedder", "remote:http://embed.invalid",
+         "--out", out / "t.index"]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_FAILURE
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: embed endpoint returned {message}"
+    ]
+    assert "Traceback" not in err
+    assert not (out / "t.index").exists()
+
+
 def test_leak_scan_command(tmp_path, repo, capsys):
     out = tmp_path / "w"
     out.mkdir()

@@ -1,17 +1,25 @@
 """Embedding, exact-kNN retrieval, binary index format, prompt assembly."""
 
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import oracle_cosine, oracle_knn
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_cosine, oracle_embed, oracle_knn
 
+from scopekit import ragindex
+from scopekit.config import PipelineConfig
 from scopekit.errors import (
     DimensionMismatchError,
     EmbeddingServiceUnavailableError,
+    MalformedResponseError,
 )
-from scopekit.pairs import FilterConfig, make_primary_pair
+from scopekit.pairs import FilterConfig, make_primary_pair, read_pairs
+from scopekit.pipeline import Mode, run_pipeline
 from scopekit.ragindex import (
     DEFAULT_DIMENSION,
     HashingEmbedder,
@@ -85,7 +93,89 @@ def test_embed_texts_matches_single_calls():
     texts = ["one two three", "four five", "six seven eight nine"]
     stacked = emb.embed_texts(texts)
     for i, t in enumerate(texts):
-        assert np.array_equal(stacked[i], emb.embed(t))
+        assert stacked[i].tobytes() == oracle_embed(t, 32).tobytes()
+        assert emb.embed(t).tobytes() == oracle_embed(t, 32).tobytes()
+
+
+def test_embed_texts_warns_once_per_empty_text(caplog):
+    emb = HashingEmbedder(dimension=8)
+    with caplog.at_level("WARNING", logger="scopekit.ragindex"):
+        out = emb.embed_texts(["", "abcdef", "", "bcdefg"])
+    assert [r.getMessage() for r in caplog.records] == ["embedding empty text: zero vector"] * 2
+    assert not out[0].any() and not out[2].any()
+    assert out[3].tobytes() == oracle_embed("bcdefg", 8).tobytes()
+
+
+# a small alphabet repeats heads, so a text's first bytes occur at many
+# places of the one before it; the rest is any code point, non-BMP included
+_CONTENT_CHAR = st.one_of(st.sampled_from("ab{}; \n"), st.sampled_from("é€𝄞😀"), st.characters(exclude_categories=["Cs"]))
+
+
+@st.composite
+def overlapping_texts(draw):
+    """Texts cut from one content the way pair queries are, in file order or
+    shuffled, with repeats, unrelated, empty and under-3-byte texts among them."""
+    content = draw(st.text(_CONTENT_CHAR, max_size=300))
+    step = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 120))
+    starts = range(0, len(content) + 1, step)
+    texts = [content[a : a + width] for a in starts] + [content[:a] for a in starts]
+    for _ in range(draw(st.integers(0, 6))):
+        extra = draw(st.one_of(st.sampled_from(texts), st.text(max_size=40), st.text(_CONTENT_CHAR, max_size=2)))
+        texts.insert(draw(st.integers(0, len(texts))), extra)
+    if draw(st.booleans()):
+        texts = draw(st.permutations(texts))
+    return texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=overlapping_texts(), dimension=st.sampled_from([1, 7, 64]))
+def test_embed_texts_matches_oracle_on_overlapping_windows(texts, dimension):
+    out = HashingEmbedder(dimension).embed_texts(texts)
+    assert out.shape == (len(texts), dimension) and out.dtype == np.float32
+    for row, text in zip(out, texts):
+        assert row.tobytes() == oracle_embed(text, dimension).tobytes()
+
+
+def test_embed_texts_matches_oracle_across_run_cap():
+    rng = random.Random(5)
+    content = "".join(rng.choice("int x = f(y);\n{}é") for _ in range(80_000))  # past a 64 KiB run
+    texts = [content[a : a + 4000] for a in range(0, len(content) - 4000, 1900)]
+    out = HashingEmbedder(16).embed_texts(texts)
+    for row, text in zip(out, texts):
+        assert row.tobytes() == oracle_embed(text, 16).tobytes()
+
+
+def test_embed_texts_hashes_overlapping_windows_once(monkeypatch):
+    """40 sliding windows of one content: each n-gram size hashes at most the
+    content once, not every window again."""
+    rng = random.Random(7)
+    content = "".join(rng.choice("abcdefgh(){};\n ") for _ in range(6000))
+    texts = [content[a : a + 3072] for a in range(0, 40 * 73, 73)]
+    hashed = []
+    real_mix64 = ragindex._mix64
+
+    def counting_mix64(x):
+        hashed.append(len(x))
+        return real_mix64(x)
+
+    monkeypatch.setattr(ragindex, "_mix64", counting_mix64)
+    out = HashingEmbedder().embed_texts(texts)
+    assert sum(hashed) <= 2 * len(content)
+    for k in (0, 17, 39):
+        assert out[k].tobytes() == oracle_embed(texts[k], DEFAULT_DIMENSION).tobytes()
+
+
+def test_fixture_corpus_index_golden_hash(tmp_path):
+    """Index bytes are pinned across commits, not only between two builds."""
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    cfg = PipelineConfig(repo_root=corpus, output_dir=tmp_path / "out", random_starts=2, seed=1)
+    out = run_pipeline(cfg, Mode.FT_EXPORT).out_dir
+    index = index_build(read_pairs(out / "train_pairs.jsonl"), HashingEmbedder())
+    assert len(index) == 132
+    index.save(tmp_path / "train.index")
+    digest = hashlib.sha256((tmp_path / "train.index").read_bytes()).hexdigest()
+    assert digest == "5709c33e2c5038a95316bca100159a75ea849cf3224377edd4e7d83982519520"
 
 
 # ------------------------------------------------------------- remote
@@ -110,6 +200,58 @@ def test_remote_embedder_dimension_mismatch(stub_service):
     emb = RemoteEmbedder(stub_service.base_url, dimension=12)  # stub returns 8
     with pytest.raises(DimensionMismatchError):
         emb.embed("x")
+
+
+class _Answer:
+    status_code = 200
+
+    def __init__(self, body):
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+def answer_with(vector_for):
+    """A stand-in for requests.post whose service answers 200 with one
+    vector_for(text) per text, at dim 8."""
+    return lambda url, json, timeout: _Answer({"vectors": [vector_for(t) for t in json["texts"]], "dim": 8})
+
+
+@pytest.mark.parametrize(
+    "vector_for",
+    [
+        lambda t: [None] * 8,
+        lambda t: [0.5] * 7 + [True],
+        lambda t: [0.5] * 7 + [float("nan")],
+        lambda t: [0.5] * 7 + [float("-inf")],
+        lambda t: [0.5] * 7 + [1e39],  # finite in JSON, inf as float32
+        lambda t: [0.5] * 7 + [10**400],
+        lambda t: [0.5] * 7 + ["1.0"],
+        lambda t: [[0.5]] * 8,
+    ],
+    ids=["null", "bool", "nan", "inf", "float32-overflow", "huge-int", "string", "nested"],
+)
+def test_remote_embedder_rejects_non_numeric_entries(monkeypatch, vector_for):
+    monkeypatch.setattr(ragindex.requests, "post", answer_with(vector_for))
+    with pytest.raises(MalformedResponseError, match="not a finite float32"):
+        RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "vectors", [5, None, "vectors", [5, 6], {"a": [0.5] * 8}], ids=["int", "null", "string", "ints", "object"]
+)
+def test_remote_embedder_rejects_vectors_not_a_list_of_lists(monkeypatch, vectors):
+    monkeypatch.setattr(ragindex.requests, "post", lambda url, json, timeout: _Answer({"vectors": vectors, "dim": 8}))
+    with pytest.raises(MalformedResponseError, match="not a list of lists"):
+        RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
+
+
+def test_remote_embedder_accepts_ints_and_floats(monkeypatch):
+    monkeypatch.setattr(ragindex.requests, "post", answer_with(lambda t: [1, -2, 0.5, 0, 0, 0, 0, 3.4e38]))
+    out = RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
+    assert out.dtype == np.float32 and np.isfinite(out).all()
+    assert out[1].tolist() == [1.0, -2.0, 0.5, 0.0, 0.0, 0.0, 0.0, float(np.float32(3.4e38))]
 
 
 def test_remote_embedder_unreachable():

@@ -4,13 +4,14 @@ from functools import cache
 from pathlib import Path
 
 from conftest import make_record
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_match_delimiters
 
 from scopekit import scopes
+from scopekit.jsonl import write_jsonl
 from scopekit.lexer import scan
-from scopekit.scopes import ScopeCategory, extract_scopes
+from scopekit.scopes import ScopeCandidate, ScopeCategory, extract_scopes, read_scopes, write_scopes
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -242,3 +243,30 @@ def test_unreadable_context_falls_back():
     text = ") } void f(){int x=0;}"
     table = cats(text)
     assert table["int x=0;"] is ScopeCategory.FUNC_BODY
+
+
+_OFFSET = st.integers(0, 2**63)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(
+        st.builds(
+            ScopeCandidate,
+            file_id=st.one_of(st.text(), st.sampled_from(["0" * 64, "ab" * 32])),
+            category=st.sampled_from(list(ScopeCategory)),
+            start_byte=_OFFSET,
+            end_byte=_OFFSET,
+            depth=_OFFSET,
+            size_bytes=_OFFSET,
+            prefix_available_bytes=_OFFSET,
+        ),
+        max_size=8,
+    )
+)
+def test_write_scopes_matches_json_dumps(tmp_path, rows):
+    """The row template gives the bytes write_jsonl gives vars(candidate)."""
+    want = write_jsonl(map(vars, rows), tmp_path / "want.jsonl")
+    assert write_scopes(rows, tmp_path / "got.jsonl") == want
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert read_scopes(tmp_path / "got.jsonl") == rows
