@@ -35,6 +35,7 @@ from .ragindex import (
     augment_query,
     index_build,
     knn_search,
+    knn_search_many,
 )
 from .scopes import ScopeCandidate, ScopeCategory, extract_scopes
 
@@ -63,6 +64,7 @@ __all__ = [
     "index_build",
     "ingest_repository",
     "knn_search",
+    "knn_search_many",
     "leakage_scan",
     "levenshtein",
     "make_primary_pair",

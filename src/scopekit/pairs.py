@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import itertools
 import logging
 import random
 from collections import Counter
@@ -23,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, get_type_hints
 from .errors import InvalidConfigError
 from .ingest import FileRecord
 from .jsonl import EscapedUTF8, json_field, json_string, read_jsonl, write_jsonl, write_lines
+from .overlap import chain_runs
 from .scopes import ScopeCandidate, ScopeCategory
 
 logger = logging.getLogger(__name__)
@@ -293,7 +293,20 @@ def write_leakage_report(report: LeakageReport, path: str | Path) -> None:
 def _normalized(text: str, eot_token: str | None) -> str:
     if eot_token and text.endswith(eot_token):
         text = text[: -len(eot_token)]
-    return text.replace("\r\n", "\n")
+    return text.replace("\r\n", "\n") if "\r" in text else text
+
+
+def _utf8(text: str) -> bytes:
+    # UTF-8 is self-synchronizing, so byte matches are exactly the text
+    # matches; surrogatepass lets a lone surrogate through as its 3 bytes
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _query_label_texts(train: list[CompletionPair]) -> Iterator[tuple[tuple[int, int], bytes]]:
+    """((k, query byte length), normalized query + label bytes) of each train pair k."""
+    for k, p in enumerate(train):
+        query = _utf8(_normalized(p.query, None))
+        yield (k, len(query)), query + _utf8(_normalized(p.label, p.eot_token))
 
 
 def leakage_scan(
@@ -308,35 +321,40 @@ def leakage_scan(
     training label or query. Comparison strips the eot token and normalizes
     CRLF to LF on both sides. Findings come in test order, then train order.
 
-    Every train label and query is one NUL-separated segment of a single
-    haystack, so each test label is one str.find walk over the train set; a
-    hit counts only if it lies inside one segment (a test label holding NUL
-    could otherwise match across a separator), and after a counted hit the
-    walk skips to the next pair.
+    Each train pair's normalized query + label is chained into runs of
+    overlapping text (overlap.chain_runs), so both are slices of one run
+    and the train text is held about once. Each test label is one walk of
+    the NUL-joined runs: in each run it occurs in, every pair of the run is
+    checked against its own query and label, and the walk goes on at the
+    next run.
     """
     train = list(train_pairs)
-    # pair k's label is segment 2k, its query 2k + 1
-    segments = [text for p in train for text in (_normalized(p.label, p.eot_token), _normalized(p.query, None))]
-    haystack = "\0".join(segments)
-    # offset after[s] - 1 is just past segment s: its separator, or the haystack's end
-    after = list(itertools.accumulate(len(seg) + 1 for seg in segments))
+    haystack = bytearray()  # each run, then NUL
+    starts, members = [], []  # members[r]: (pair, query at, label at, label end) in haystack offsets
+    for run, spans in chain_runs(_query_label_texts(train)):
+        off = len(haystack)
+        starts.append(off)
+        members.append([(k, off + at, off + at + qlen, off + at + length) for (k, qlen), at, length in spans])
+        haystack += run
+        haystack.append(0)
     report = LeakageReport()
     for test_id, raw_label in test_labels:
-        needle = _normalized(raw_label, eot_token)
+        needle = _utf8(_normalized(raw_label, eot_token))
         if not needle:
             logger.warning("empty test label %s skipped in leakage scan", test_id)
             continue
         i = haystack.find(needle)
         while i >= 0:
-            s = bisect.bisect_right(after, i)  # the segment holding offset i, or its separator
-            if i + len(needle) < after[s]:
-                k = s // 2
-                kind = MATCH_EXACT_LABEL if segments[2 * k] == needle else MATCH_SUBSTRING
+            r = bisect.bisect_right(starts, i) - 1
+            for k, query_at, label_at, end in members[r]:
+                if end - label_at == len(needle) and haystack.startswith(needle, label_at):
+                    kind = MATCH_EXACT_LABEL
+                elif haystack.find(needle, label_at, end) >= 0 or haystack.find(needle, query_at, label_at) >= 0:
+                    kind = MATCH_SUBSTRING
+                else:
+                    continue
                 report.findings.append(LeakageFinding(test_id, train[k].pair_id, kind))
-                i = after[2 * k + 1]
-            else:
-                i += 1
-            i = haystack.find(needle, i)
+            i = haystack.find(needle, starts[r + 1]) if r + 1 < len(starts) else -1
     return report
 
 

@@ -270,11 +270,11 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     )
     rag_inputs = {"index": index_path, "tests": held_path}
     with runner.stage("rag_eval", rag_inputs, [predictions_path, records_path, report_path]):
-        prompts = []
-        vectors = embedder.embed_texts([p.query for p in tests])
-        for p, vec in zip(tests, vectors):
-            neighbors = ragindex.knn_search(index, vec, config.n_neighbors)
-            prompts.append((p.pair_id, ragindex.augment_query(p.query, neighbors, index, config.budget_bytes)))
+        neighbors = ragindex.knn_search_many(index, embedder.embed_texts([p.query for p in tests]), config.n_neighbors)
+        prompts = [
+            (p.pair_id, ragindex.augment_query(p.query, found, index, config.budget_bytes))
+            for p, found in zip(tests, neighbors)
+        ]
         template = client.GenerationRequest(
             prompt="",
             max_new_tokens=config.gen_max_new_tokens,

@@ -2,20 +2,22 @@
 
 Keys are embeddings of primary-pair queries, values the pair labels with
 the eot token stripped. Search is a linear cosine scan over every key: no
-approximation, ties broken by ascending pair_id, so results are exact and
-reproducible.
+approximation, ties broken by ascending pair_id, identical keys included,
+so results are exact and reproducible. A batch of queries reads the keys
+once (knn_search_many).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import requests
@@ -26,6 +28,7 @@ from .errors import (
     InvalidConfigError,
     MalformedResponseError,
 )
+from .overlap import chain_runs
 from .pairs import CompletionPair, PairKind
 
 logger = logging.getLogger(__name__)
@@ -43,13 +46,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SALTS = tuple(np.uint64((n * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) for n in _NGRAM_SIZES)
 
-# A text continues the run of the text before it when its first _HEAD_BYTES
-# occur in that text at a place from which the run's bytes agree with it; at
-# most _MAX_CANDIDATES such places are tried. A run stops growing at
-# _MAX_RUN_BYTES, which keeps the hashing temporaries cache-sized.
-_HEAD_BYTES = 32
-_MAX_CANDIDATES = 16
-_MAX_RUN_BYTES = 1 << 16
+_BLOCK_ROWS = 512  # queries per float32 product, rows per float64 cast in kNN
+_F32_ROUNDING = 2.0**-24  # float32 unit roundoff
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -60,46 +58,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x *= _MIX2
     x ^= x >> np.uint64(31)
     return x
-
-
-def _offset_in_run(data: bytes, run: bytearray, prev: bytes, prev_at: int) -> int:
-    """An offset in ``run`` from which its bytes agree with ``data`` for as
-    far as both go, found in ``prev``, the run's last text, at ``prev_at``;
-    -1 if there is none or ``data`` would grow the run past its cap."""
-    head = data[:_HEAD_BYTES]
-    found = prev.find(head)
-    for _ in range(_MAX_CANDIDATES):
-        at = prev_at + found
-        if found < 0 or at + len(data) > _MAX_RUN_BYTES:
-            return -1
-        if data.startswith(run[at : at + len(data)]):
-            return at
-        found = prev.find(head, found + 1)
-    return -1
-
-
-def _runs(texts: Sequence[str]) -> Iterator[tuple[bytearray, list[tuple[int, int, int]]]]:
-    """The texts' UTF-8 bytes as runs of overlapping texts, in text order:
-    (run bytes, [(text index, offset in run, byte length)]). Empty texts are
-    left out, with a warning each."""
-    run = bytearray()
-    spans: list[tuple[int, int, int]] = []
-    prev, prev_at = b"", 0
-    for i, text in enumerate(texts):
-        data = text.encode("utf-8")
-        if not data:
-            logger.warning("embedding empty text: zero vector")
-            continue
-        at = _offset_in_run(data, run, prev, prev_at)
-        if at < 0:
-            if spans:
-                yield run, spans
-            run, spans, at = bytearray(), [], 0
-        run += data[len(run) - at :]
-        spans.append((i, at, len(data)))
-        prev, prev_at = data, at
-    if spans:
-        yield run, spans
 
 
 def _ngram_keys(run: bytearray, dimension: int) -> list[np.ndarray]:
@@ -147,7 +105,10 @@ class HashingEmbedder:
         # filled in place: stacking one array per text leaves that many freed
         # blocks in the heap, which stays resident and raises peak RSS
         out = np.zeros((len(texts), self.dimension), dtype=np.float32)
-        for run, spans in _runs(texts):
+        for text in texts:
+            if not text:
+                logger.warning("embedding empty text: zero vector")
+        for run, spans in chain_runs((i, text.encode("utf-8")) for i, text in enumerate(texts)):
             keys = _ngram_keys(run, self.dimension)
             for i, at, length in spans:
                 counts = np.zeros(2 * self.dimension, dtype=np.intp)
@@ -259,10 +220,6 @@ class VectorIndex:
         return len(self.pair_ids)
 
     @functools.cached_property
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.keys.astype(np.float64), axis=1)
-
-    @functools.cached_property
     def ranks(self) -> np.ndarray:
         """Each entry's position in ascending pair_id order."""
         ranks = np.empty(len(self), dtype=np.int64)
@@ -305,6 +262,8 @@ class VectorIndex:
         version, dim, count, eid_len = struct.unpack_from("<IIQI", data, len(_MAGIC))
         if version != _VERSION:
             raise ValueError(f"unsupported index version {version}")
+        if count * dim * 4 > len(data) - off - eid_len:  # before numpy is asked for that many keys
+            raise ValueError(f"truncated or corrupt index file: {path}")
         pair_ids = []
         values = []
         try:
@@ -327,6 +286,8 @@ class VectorIndex:
             raise ValueError(f"truncated or corrupt index file: {path}")
         if off < len(data):
             raise ValueError(f"index file has {len(data) - off} bytes past its last entry: {path}")
+        if not np.isfinite(keys).all():
+            raise ValueError(f"index file has non-finite keys: {path}")
         return cls(dimension=dim, embedder_id=embedder_id, pair_ids=pair_ids, keys=keys, values=values)
 
 
@@ -362,32 +323,98 @@ def index_build(pairs: Iterable[CompletionPair], embedder) -> VectorIndex:
     )
 
 
-def knn_search(index: VectorIndex, query_vec: np.ndarray, n: int) -> list[tuple[str, float]]:
-    """Exact top-n by cosine similarity, ties broken by ascending pair_id.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm in float64, cast _BLOCK_ROWS rows at a time."""
+    norms = np.empty(len(rows))
+    for k in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[k : k + _BLOCK_ROWS].astype(np.float64)
+        norms[k : k + _BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", block, block))
+    return norms
 
-    Scans every entry (linear cost); returns fewer than n results only when
-    the index holds fewer entries. Similarity to a zero vector is 0.0.
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows scaled to unit length, by their largest entry first so no
+    square under- or overflows; zero rows stay zero."""
+    peak = np.abs(rows).max(axis=1, keepdims=True)
+    rows = np.divide(rows, peak, out=np.zeros_like(rows), where=peak != 0.0)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    return np.divide(rows, norms, out=rows, where=norms != 0.0)
+
+
+def _cosines(keys: np.ndarray, queries: np.ndarray, rows: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The cosine of key row ``rows[i]`` with query ``which[i]``, each sum
+    of float64 products taken exactly rounded by math.fsum: a value does
+    not depend on the row's position, so identical keys tie exactly.
+    _BLOCK_ROWS rows are cast at a time."""
+    qnorms = [math.sqrt(math.fsum(squares)) for squares in (queries * queries).tolist()]
+    sims = np.zeros(len(rows))
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        cand = keys[rows[lo : lo + _BLOCK_ROWS]].astype(np.float64)
+        picked = which[lo : lo + _BLOCK_ROWS]
+        parts = zip(cand * queries[picked], cand * cand, picked.tolist())
+        for i, (prods, squares, j) in enumerate(parts, start=lo):
+            knorm = math.sqrt(math.fsum(squares.tolist()))
+            if knorm and qnorms[j]:
+                sims[i] = math.fsum(prods.tolist()) / (knorm * qnorms[j])
+    return sims
+
+
+def knn_search_many(index: VectorIndex, query_vecs: Iterable[np.ndarray], n: int) -> list[list[tuple[str, float]]]:
+    """Exact top-n of each query by cosine similarity, ties broken by
+    ascending pair_id; one list per query, in query order.
+
+    Each list holds fewer than n results only when the index holds fewer
+    entries. Similarity to a zero vector is 0.0.
+
+    The keys are read once per _BLOCK_ROWS queries, by one float32 product
+    with the unit-scaled queries; divided by the keys' float64 norms, it
+    gives every cosine to within 2 * (dim + 2) float32 units of rounding.
+    The entries within twice that of a query's n-th best hold its true top
+    n and all ties with it; only those are scored exactly (``_cosines``)
+    and ordered. Keys too large or small for that bound to hold in float32
+    are always scored exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = np.asarray(query_vec, dtype=np.float64).reshape(-1)
-    if q.shape[0] != index.dimension:
-        raise DimensionMismatchError(
-            f"query vector has dim {q.shape[0]}, index has {index.dimension}"
-        )
+    queries = [np.asarray(v, dtype=np.float64).reshape(-1) for v in query_vecs]
+    for q in queries:
+        if q.shape[0] != index.dimension:
+            raise DimensionMismatchError(f"query vector has dim {q.shape[0]}, index has {index.dimension}")
     count = len(index)
-    if count == 0:
-        return []
-    qnorm = float(np.linalg.norm(q))
-    norms = index.norms
-    if qnorm == 0.0:
-        sims = np.zeros(count, dtype=np.float64)
-    else:
-        dots = index.keys.astype(np.float64) @ q
-        denom = norms * qnorm
-        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
-    order = np.lexsort((index.ranks, -sims))[:n]
-    return [(index.pair_ids[i], float(sims[i])) for i in order]
+    if count == 0 or not queries:
+        return [[] for _ in queries]
+    queries = np.stack(queries)
+    margin = 4 * (index.dimension + 2) * _F32_ROUNDING
+    norms = _row_norms(index.keys)
+    scaled = (norms >= 2.0**-100) & (norms <= 2.0**100)  # no float32 under- or overflow in the product
+    unscaled = (norms != 0.0) & ~scaled
+    inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=scaled).astype(np.float32)
+    ranks = index.ranks
+    candidates = []
+    for lo in range(0, len(queries), _BLOCK_ROWS):
+        unit = _unit_rows(queries[lo : lo + _BLOCK_ROWS]).astype(np.float32)
+        approx = unit @ index.keys.T
+        approx[:, unscaled] = -np.inf
+        approx *= inverse
+        for row, nonzero in zip(approx, unit.any(axis=1)):
+            if not nonzero:  # every similarity is 0.0
+                candidates.append(np.flatnonzero(ranks < n))
+            else:
+                nth = float(np.partition(row, count - n)[count - n]) if n < count else -np.inf
+                candidates.append(np.flatnonzero((row >= nth - margin) | unscaled))
+    sizes = [len(c) for c in candidates]
+    rows = np.concatenate(candidates)
+    sims = _cosines(index.keys, queries, rows, np.repeat(np.arange(len(queries)), sizes))
+    results = []
+    for lo, hi in itertools.pairwise([0, *itertools.accumulate(sizes)]):
+        order = lo + np.lexsort((ranks[rows[lo:hi]], -sims[lo:hi]))[:n]
+        results.append([(index.pair_ids[rows[i]], float(sims[i])) for i in order])
+    return results
+
+
+def knn_search(index: VectorIndex, query_vec: np.ndarray, n: int) -> list[tuple[str, float]]:
+    """knn_search_many for one query."""
+    return knn_search_many(index, [query_vec], n)[0]
 
 
 def augment_query(

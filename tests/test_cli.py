@@ -5,12 +5,14 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import c_file_with_scopes, write_repo
 
 from scopekit.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
 from scopekit.config import SETTINGS, PipelineConfig
 from scopekit.pipeline import Mode, run_pipeline
+from scopekit.ragindex import VectorIndex
 
 
 @pytest.fixture
@@ -519,13 +521,30 @@ def _scope_past_file_end(tmp_path, repo):
     return argv, f"{scopes_file}: scope [{row['start_byte']}, {row['end_byte']}) does not fit file_id {row['file_id']}"
 
 
-def _truncated_index(tmp_path, repo):
+def _empty_index(tmp_path):
     pairs_file = tmp_path / "pairs.jsonl"
     pairs_file.write_text("")
     run(["index", "build", "--pairs", pairs_file, "--dimension", 8, "--out", tmp_path / "t.index"])
-    index = tmp_path / "t.index"
+    return tmp_path / "t.index"
+
+
+def _truncated_index(tmp_path, repo):
+    index = _empty_index(tmp_path)
     index.write_bytes(index.read_bytes()[:20])
     return ["index", "query", "--index", index], f"truncated index file: {index}"
+
+
+def _index_count_past_end(tmp_path, repo):
+    index = _empty_index(tmp_path)
+    raw = index.read_bytes()
+    index.write_bytes(raw[:16] + (2**62).to_bytes(8, "little") + raw[24:])  # the header's entry count
+    return ["index", "query", "--index", index], f"truncated or corrupt index file: {index}"
+
+
+def _index_nan_key(tmp_path, repo):
+    index = tmp_path / "t.index"
+    VectorIndex(2, "builtin-ngram-hash/d2/n3-4", ["p"], np.array([[np.nan, 1.0]], dtype=np.float32), ["v"]).save(index)
+    return ["index", "query", "--index", index], f"index file has non-finite keys: {index}"
 
 
 def _empty_manifest(tmp_path, repo):
@@ -553,6 +572,8 @@ def _empty_manifest(tmp_path, repo):
         _manifest_bad_byte_len,
         _scope_past_file_end,
         _truncated_index,
+        _index_count_past_end,
+        _index_nan_key,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

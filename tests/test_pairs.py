@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from conftest import make_record
@@ -10,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_leakage_scan
 
+from scopekit.config import PipelineConfig
 from scopekit.errors import InvalidConfigError
+from scopekit.ingest import ingest_repository
 from scopekit.pairs import (
     DEFAULT_EOT_TOKEN,
     FilePairs,
@@ -30,8 +33,10 @@ from scopekit.pairs import (
     make_random_start_pairs,
     pairs_sort_key,
     read_pairs,
+    write_leakage_report,
     write_pairs,
 )
+from scopekit.pipeline import extract_all_scopes, split_pairs
 from scopekit.scopes import ScopeCandidate, ScopeCategory, extract_scopes
 
 LOOSE = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0)
@@ -343,6 +348,92 @@ def test_leakage_scan_matches_oracle(train, tests, eot_token):
     report = leakage_scan(pairs, labels, eot_token)
     got = [(f.test_pair_id, f.training_pair_id, f.match_kind) for f in report.findings]
     assert got == oracle_leakage_scan(pairs, labels, eot_token)
+
+
+# CRLF and lone CR (cut at window edges), NUL, non-BMP and any other code
+# point; long runs of one letter repeat a window's head at places where the
+# text after it differs
+_WINDOW_CHAR = st.one_of(
+    st.sampled_from(["a", "b", "{", "}", "\n", "\r\n", "\r", "\0", "é", "𝄞", "x" * 40]),
+    st.characters(exclude_categories=["Cs"]),
+)
+
+
+@st.composite
+def chained_leak_cases(draw):
+    """Train pairs cut as overlapping windows (query, then label) from a few
+    shared contents, each content's windows in order, the contents' windows
+    interleaved; one content may be long enough to pass a run's size cap.
+    Test labels are slices of the contents, pair labels and unrelated text."""
+    contents = draw(st.lists(st.lists(_WINDOW_CHAR, max_size=50).map("".join), min_size=1, max_size=3))
+    if draw(st.booleans()) and contents[0]:
+        contents[0] *= 70_000 // len(contents[0]) + 1
+    windows = []
+    for content in contents:
+        scale = max(1, len(content) // 40)
+        step, width = draw(st.integers(1, 12)) * scale, draw(st.integers(0, 30)) * scale
+        windows.append([
+            (content[a : a + width], draw(st.integers(0, width)))
+            for a in range(0, len(content), step)
+        ][:40])
+    train = []
+    while any(windows):
+        queue = draw(st.sampled_from([w for w in windows if w]))
+        text, split = queue.pop(0)
+        train.append((text[:split], text[split:] + "<EOT>"))
+    tests = []
+    for _ in range(draw(st.integers(0, 5))):
+        content = draw(st.sampled_from(contents))
+        a = draw(st.integers(0, len(content)))
+        sliced = content[a : a + draw(st.integers(0, 40))]
+        pair_texts = [text for pair in train for text in pair]
+        label = draw(st.sampled_from([sliced, sliced + "<EOT>", "a\r\nb", "\0", *pair_texts]))
+        tests.append(label)
+    return train, tests
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=chained_leak_cases(), eot_token=st.sampled_from(["<EOT>", None]))
+def test_leakage_scan_matches_oracle_on_chained_windows(case, eot_token):
+    train, tests = case
+    pa, _ = two_pairs()
+    pairs = [
+        dataclasses.replace(pa, pair_id=f"p{k}", query=query, label=label, eot_token="<EOT>")
+        for k, (query, label) in enumerate(train)
+    ]
+    labels = [(f"t{k}", label) for k, label in enumerate(tests)]
+    report = leakage_scan(pairs, labels, eot_token)
+    got = [(f.test_pair_id, f.training_pair_id, f.match_kind) for f in report.findings]
+    assert got == oracle_leakage_scan(pairs, labels, eot_token)
+
+
+def test_fixture_corpus_leakage_report_golden_hash(tmp_path):
+    """Leakage reports are pinned across commits: the fixture corpus's held
+    out files leak nothing, and each train primary label, scanned as a test
+    label, finds itself and every train pair it lies inside."""
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    cfg = PipelineConfig(
+        repo_root=corpus,
+        output_dir=tmp_path / "out",
+        random_starts=2,
+        seed=1,
+        holdout_paths=("checksum.c", "geometry.hpp", "tracer.cpp"),
+    )
+    manifest = ingest_repository(corpus, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
+    train, held = split_pairs(extract_all_scopes(manifest), manifest, cfg)
+    train = [p for f in train for p in f.pairs]
+    tests = [(p.pair_id, p.label) for f in held for p in f.pairs if p.kind is PairKind.PRIMARY]
+    train_labels = [(p.pair_id, p.label) for p in train if p.kind is PairKind.PRIMARY]
+    digests = []
+    for name, labels in (("held", tests), ("train", tests + train_labels)):
+        report = leakage_scan(train, labels, cfg.eot_token)
+        write_leakage_report(report, tmp_path / f"{name}.jsonl")
+        digests.append((len(report.findings), hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest()))
+    assert (len(train), len(tests)) == (366, 9)
+    assert digests == [
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (895, "f6939c09050f8f5f5410e004d8ba9359e41ca3b3faa196390bcca602195e4421"),
+    ]
 
 
 # --------------------------------------------------------- serialization

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from scopekit.ragindex import (
     augment_query,
     index_build,
     knn_search,
+    knn_search_many,
 )
 from test_pairs import LOOSE, candidate
 
@@ -106,22 +109,28 @@ def test_embed_texts_warns_once_per_empty_text(caplog):
     assert out[3].tobytes() == oracle_embed("bcdefg", 8).tobytes()
 
 
-# a small alphabet repeats heads, so a text's first bytes occur at many
-# places of the one before it; the rest is any code point, non-BMP included
-_CONTENT_CHAR = st.one_of(st.sampled_from("ab{}; \n"), st.sampled_from("é€𝄞😀"), st.characters(exclude_categories=["Cs"]))
+# a small alphabet and long runs of one letter repeat heads, so a text's
+# first bytes occur at many places of the one before it; the rest is any
+# code point, non-BMP included
+_CONTENT_CHAR = st.one_of(
+    st.sampled_from([*"ab{}; \n", "x" * 100]),
+    st.sampled_from("é€𝄞😀"),
+    st.characters(exclude_categories=["Cs"]),
+)
 
 
 @st.composite
 def overlapping_texts(draw):
     """Texts cut from one content the way pair queries are, in file order or
     shuffled, with repeats, unrelated, empty and under-3-byte texts among them."""
-    content = draw(st.text(_CONTENT_CHAR, max_size=300))
+    content = "".join(draw(st.lists(_CONTENT_CHAR, max_size=300)))
     step = draw(st.integers(1, 40))
     width = draw(st.integers(1, 120))
     starts = range(0, len(content) + 1, step)
     texts = [content[a : a + width] for a in starts] + [content[:a] for a in starts]
     for _ in range(draw(st.integers(0, 6))):
-        extra = draw(st.one_of(st.sampled_from(texts), st.text(max_size=40), st.text(_CONTENT_CHAR, max_size=2)))
+        tiny = st.text(st.sampled_from("ab{}; \né€𝄞😀"), max_size=2)
+        extra = draw(st.one_of(st.sampled_from(texts), st.text(max_size=40), tiny))
         texts.insert(draw(st.integers(0, len(texts))), extra)
     if draw(st.booleans()):
         texts = draw(st.permutations(texts))
@@ -342,6 +351,28 @@ def test_load_rejects_truncated_and_overlong_files(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_load_rejects_a_key_count_past_the_file(tmp_path):
+    idx, _, _ = build_index(["alpha", "beta"], dim=8)
+    path = tmp_path / "t.index"
+    idx.save(path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, len(b"SCOPEIDX") + 8, 2**62)  # count, after version and dim
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="truncated or corrupt index file"):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_keys(tmp_path, bad):
+    idx, _, _ = build_index(["alpha", "beta"], dim=8)
+    idx.keys[1, 3] = bad
+    path = tmp_path / "t.index"
+    idx.save(path)
+    with pytest.raises(ValueError, match="non-finite keys") as err:
+        VectorIndex.load(path)
+    assert str(path) in str(err.value)
+
+
 # ------------------------------------------------------------- cosine/knn
 
 
@@ -418,6 +449,105 @@ def test_knn_dimension_mismatch_and_bad_n():
 def test_knn_empty_index():
     idx = VectorIndex(4, "t", [], np.zeros((0, 4), dtype=np.float32), [])
     assert knn_search(idx, np.ones(4), 3) == []
+    assert knn_search_many(idx, [np.ones(4), np.zeros(4)], 3) == [[], []]
+    assert knn_search_many(idx, [], 3) == []
+
+
+def duplicate_key_case(seed):
+    """A seeded index of unit float32 keys (dim 384) with permuted pair_ids,
+    one key copied into 5 rows, and that key plus N(0, 0.01) noise as query."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(2, 401))
+    keys = rng.standard_normal((count, 384))
+    keys = (keys / np.linalg.norm(keys, axis=1, keepdims=True)).astype(np.float32)
+    rows = rng.choice(count, size=min(5, count), replace=False)
+    keys[rows] = keys[rows[0]]
+    ids = [f"p{j:04d}" for j in rng.permutation(count)]
+    query = keys[rows[0]] + rng.normal(0.0, 0.01, 384)
+    n = int(rng.integers(1, count + 1))
+    return VectorIndex(384, "t", ids, keys, ["v"] * count), query, n
+
+
+@pytest.mark.parametrize("seed", [34, 49, 277, 297])
+def test_knn_ties_between_identical_keys_follow_pair_id(seed):
+    """A float64 product of the whole key matrix gives identical rows dot
+    products that differ in the last bit with the row's position, which
+    broke pair_id tie-breaks in these seeded cases."""
+    index, query, n = duplicate_key_case(seed)
+    got = knn_search(index, query, n)
+    want = oracle_knn(index.pair_ids, index.keys.astype(np.float64).tolist(), query.tolist(), n)
+    assert [pid for pid, _ in got] == [pid for pid, _ in want]
+
+
+@st.composite
+def knn_cases(draw):
+    """Keys of random scale (subnormal to near float32's largest among them)
+    with zero rows and copies of one key at random rows; queries that are
+    zero, a key, a key plus noise, or random; n up to past the index size,
+    so ties fall at the n-th place too."""
+    dim = draw(st.sampled_from([1, 2, 5, 384]))
+    count = draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.sampled_from([[0], [-2, 0, 2], [-40, -30, 0, 30, 37]]))
+    keys = (rng.standard_normal((count, dim)) * 10.0 ** rng.choice(exponents, (count, 1))).astype(np.float32)
+    if count:
+        row = st.integers(0, count - 1)
+        keys[draw(st.lists(row, max_size=3))] = 0.0
+        keys[draw(st.lists(row, max_size=6))] = keys[draw(row)]
+    ids = [f"p{j:03d}" for j in rng.permutation(count)]
+    queries = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "key", "near", "random"] if count else ["zero", "random"]))
+        if kind == "zero":
+            queries.append(np.zeros(dim))
+        elif kind == "random":
+            queries.append(rng.standard_normal(dim))
+        else:
+            noise = 0.0 if kind == "key" else draw(st.sampled_from([1e-7, 1e-4, 1e-2]))
+            queries.append(keys[draw(row)] + rng.normal(0.0, noise, dim))
+    n = draw(st.integers(1, count + 3))
+    return VectorIndex(dim, "t", ids, keys, ["v"] * count), queries, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=knn_cases())
+def test_knn_search_many_matches_oracle(case):
+    index, queries, n = case
+    got = knn_search_many(index, queries, n)
+    assert len(got) == len(queries)
+    key_rows = index.keys.astype(np.float64).tolist()
+    for found, query in zip(got, queries):
+        want = oracle_knn(index.pair_ids, key_rows, np.asarray(query, dtype=np.float64).tolist(), n)
+        assert [pid for pid, _ in found] == [pid for pid, _ in want]
+        for (_, s_got), (_, s_want) in zip(found, want):
+            assert abs(s_got - s_want) <= 1e-12
+
+
+def test_knn_search_is_knn_search_many_of_one():
+    index, query, n = duplicate_key_case(7)
+    others = [index.keys[3], np.zeros(384), query[::-1].copy()]
+    for vec in [query, *others]:
+        for k in (1, n, len(index) + 2):
+            assert knn_search(index, vec, k) == knn_search_many(index, [vec], k)[0]
+            assert knn_search(index, vec, k) == knn_search_many(index, [*others, vec], k)[-1]
+
+
+def test_knn_search_many_memory_stays_below_half_a_float64_key_copy():
+    """50 queries against 20,000 x 384 keys: the search never holds a
+    float64 copy of the key matrix, nor anything half its size."""
+    rng = np.random.default_rng(3)
+    count = 20_000
+    keys = rng.standard_normal((count, 384), dtype=np.float32)
+    index = VectorIndex(384, "t", [f"p{j:05d}" for j in range(count)], keys, [""] * count)
+    queries = rng.standard_normal((50, 384), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        found = knn_search_many(index, queries, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(f) for f in found] == [5] * 50
+    assert peak < keys.size * 8 / 2, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # ------------------------------------------------------------- augment
