@@ -4,6 +4,10 @@ A pair partitions a file at a byte offset: everything before (capped) is
 the query, the rest of the scope plus an end-of-text sentinel is the label.
 Partition points are snapped forward to UTF-8 boundaries so the JSONL
 strings stay decodable; offsets remain byte offsets into canonical content.
+
+A pair holds the bytes it was cut from and its offsets into them, and
+decodes its query and label on demand. The pairs of a file share its bytes,
+so the embedder and the leak scan take shared text from the offsets.
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, get_type_hints
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import InvalidConfigError
 from .ingest import FileRecord
 from .jsonl import EscapedUTF8, json_field, json_string, read_jsonl, write_jsonl, write_lines
-from .overlap import chain_runs
 from .scopes import ScopeCandidate, ScopeCategory
 
 logger = logging.getLogger(__name__)
@@ -72,23 +75,84 @@ class FilterConfig:
             raise InvalidConfigError(problems)
 
 
-@dataclass(frozen=True)
+class Span(NamedTuple):
+    """The bytes ``content[start:stop]`` of a content that spans share."""
+
+    content: bytes
+    start: int
+    stop: int
+
+    def text(self) -> str:
+        # surrogatepass: a lone surrogate read from JSONL round-trips as its 3 bytes
+        return self.content[self.start : self.stop].decode("utf-8", "surrogatepass")
+
+
+def merged_runs(spans: Sequence[Span], max_bytes: int | None = None) -> Iterator[tuple[Span, list[int]]]:
+    """The spans as runs of overlapping spans of equal contents: (the run,
+    the indices of its spans, by start). A span joins the run before it
+    when it starts inside it and the run stays within ``max_bytes``; a
+    longer span is a run of its own. Contents are compared by value, so a
+    name can stand for one; they come in the order first seen, each one's
+    runs by offset. Empty spans are left out."""
+    by_content: dict[bytes, list[int]] = {}
+    for i, span in enumerate(spans):
+        if span.stop > span.start:
+            by_content.setdefault(span.content, []).append(i)
+    for content, members in by_content.items():
+        members.sort(key=lambda i: spans[i].start)
+        start = stop = 0
+        run: list[int] = []
+        for i in members:
+            span = spans[i]
+            if run and span.start < stop and (max_bytes is None or max(stop, span.stop) - start <= max_bytes):
+                stop = max(stop, span.stop)
+                run.append(i)
+                continue
+            if run:
+                yield Span(content, start, stop), run
+            start, stop, run = span.start, span.stop, [i]
+        yield Span(content, start, stop), run
+
+
+@dataclass(frozen=True, slots=True)
 class CompletionPair:
+    """The query ``content[query_start:part]`` and the label
+    ``content[part:label_end]`` + eot_token. ``content`` is the file the pair
+    was cut from, which its pairs share, or the bytes its JSONL rows cover
+    (read_pairs)."""
+
     pair_id: str
-    query: str
-    label: str  # scope text (+ closing delimiter if configured) + eot_token
-    mask_len: int  # character length of query; completion starts here
     kind: PairKind
     start_shift_bytes: int
     category: ScopeCategory
     file_id: str
     scope_start_byte: int
     eot_token: str
+    content: bytes = field(repr=False)
+    query_start: int
+    part: int
+    label_end: int
+
+    @property
+    def query_span(self) -> Span:
+        return Span(self.content, self.query_start, self.part)
+
+    @property
+    def query(self) -> str:
+        return self.query_span.text()
+
+    @property
+    def mask_len(self) -> int:
+        """The character length of query; completion starts here."""
+        return len(self.query)
 
     def label_without_eot(self) -> str:
-        if self.eot_token and self.label.endswith(self.eot_token):
-            return self.label[: -len(self.eot_token)]
-        return self.label
+        """The scope text, with its closing delimiter if configured."""
+        return Span(self.content, self.part, self.label_end).text()
+
+    @property
+    def label(self) -> str:
+        return self.label_without_eot() + self.eot_token
 
 
 def apply_filters(
@@ -155,22 +219,18 @@ def _build_pair(
     include_closer: bool,
 ) -> CompletionPair:
     part = candidate.start_byte + shift
-    qstart = max(0, part - cfg.max_prefix_bytes)
-    qstart = _snap_forward(content, qstart, part)
-    query = content[qstart:part].decode("utf-8")
-    label_end = candidate.end_byte + (1 if include_closer else 0)
-    label = content[part:label_end].decode("utf-8") + eot_token
     return CompletionPair(
         pair_id=_pair_id(candidate.file_id, candidate.start_byte, candidate.end_byte, kind, shift),
-        query=query,
-        label=label,
-        mask_len=len(query),
         kind=kind,
         start_shift_bytes=shift,
         category=candidate.category,
         file_id=candidate.file_id,
         scope_start_byte=candidate.start_byte,
         eot_token=eot_token,
+        content=content,
+        query_start=_snap_forward(content, max(0, part - cfg.max_prefix_bytes), part),
+        part=part,
+        label_end=candidate.end_byte + (1 if include_closer else 0),
     )
 
 
@@ -249,12 +309,16 @@ def make_random_start_pairs(
     ]
 
 
+HasFileId = TypeVar("HasFileId")  # anything with a file_id: a FileRecord, a pair
+
+
 def exclude_holdout(
-    pairs: Iterable[CompletionPair],
+    items: Iterable[HasFileId],
     holdout_paths: Iterable[str],
     path_by_file_id: Mapping[str, str],
-) -> list[CompletionPair]:
-    """Drop every pair originating from a holdout file (whole-file exclusion)."""
+) -> list[HasFileId]:
+    """Drop every item whose file_id is a holdout file's (whole-file
+    exclusion): pipeline.split_pairs gives it the FileRecords to pair."""
 
     def norm(p: str) -> str:
         p = p.replace("\\", "/")
@@ -267,7 +331,7 @@ def exclude_holdout(
     for p in sorted(wanted - known):
         logger.warning("holdout path matches no ingested file: %s", p)
     held_ids = {fid for fid, path in path_by_file_id.items() if path in wanted}
-    return [p for p in pairs if p.file_id not in held_ids]
+    return [item for item in items if item.file_id not in held_ids]
 
 
 @dataclass(frozen=True)
@@ -302,13 +366,6 @@ def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def _query_label_texts(train: list[CompletionPair]) -> Iterator[tuple[tuple[int, int], bytes]]:
-    """((k, query byte length), normalized query + label bytes) of each train pair k."""
-    for k, p in enumerate(train):
-        query = _utf8(_normalized(p.query, None))
-        yield (k, len(query)), query + _utf8(_normalized(p.label, p.eot_token))
-
-
 def leakage_scan(
     train_pairs: Iterable[CompletionPair],
     test_labels: Iterable[tuple[str, str]],
@@ -321,21 +378,32 @@ def leakage_scan(
     training label or query. Comparison strips the eot token and normalizes
     CRLF to LF on both sides. Findings come in test order, then train order.
 
-    Each train pair's normalized query + label is chained into runs of
-    overlapping text (overlap.chain_runs), so both are slices of one run
-    and the train text is held about once. Each test label is one walk of
-    the NUL-joined runs: in each run it occurs in, every pair of the run is
-    checked against its own query and label, and the walk goes on at the
-    next run.
+    The haystack is the bytes the train pairs cover: each pair's query and
+    label body, a span of its content, merged with the spans that overlap
+    it into runs (merged_runs), each run followed by NUL. A pair whose span
+    holds a CR is a run of its own normalized query + label instead. Each
+    test label is one walk of the haystack: in each run it occurs in, every
+    pair of the run is checked at its own query and label offsets, and the
+    walk goes on at the next run.
     """
     train = list(train_pairs)
-    haystack = bytearray()  # each run, then NUL
+    spans, query_ends = [], []  # per pair: its query + label body, where its query ends
+    for p in train:
+        if p.content.find(b"\r", p.query_start, p.label_end) < 0:
+            spans.append(Span(p.content, p.query_start, p.label_end))
+            query_ends.append(p.part)
+        else:
+            query = _utf8(_normalized(p.query, None))
+            text = query + _utf8(_normalized(p.label, p.eot_token))
+            spans.append(Span(text, 0, len(text)))
+            query_ends.append(len(query))
+    haystack = bytearray()
     starts, members = [], []  # members[r]: (pair, query at, label at, label end) in haystack offsets
-    for run, spans in chain_runs(_query_label_texts(train)):
-        off = len(haystack)
-        starts.append(off)
-        members.append([(k, off + at, off + at + qlen, off + at + length) for (k, qlen), at, length in spans])
-        haystack += run
+    for run, ks in merged_runs(spans):
+        shift = len(haystack) - run.start
+        starts.append(len(haystack))
+        members.append([(k, shift + spans[k].start, shift + query_ends[k], shift + spans[k].stop) for k in ks])
+        haystack += memoryview(run.content)[run.start : run.stop]
         haystack.append(0)
     report = LeakageReport()
     for test_id, raw_label in test_labels:
@@ -343,18 +411,17 @@ def leakage_scan(
         if not needle:
             logger.warning("empty test label %s skipped in leakage scan", test_id)
             continue
+        hits = []
         i = haystack.find(needle)
         while i >= 0:
             r = bisect.bisect_right(starts, i) - 1
             for k, query_at, label_at, end in members[r]:
                 if end - label_at == len(needle) and haystack.startswith(needle, label_at):
-                    kind = MATCH_EXACT_LABEL
+                    hits.append((k, MATCH_EXACT_LABEL))
                 elif haystack.find(needle, label_at, end) >= 0 or haystack.find(needle, query_at, label_at) >= 0:
-                    kind = MATCH_SUBSTRING
-                else:
-                    continue
-                report.findings.append(LeakageFinding(test_id, train[k].pair_id, kind))
+                    hits.append((k, MATCH_SUBSTRING))
             i = haystack.find(needle, starts[r + 1]) if r + 1 < len(starts) else -1
+        report.findings += (LeakageFinding(test_id, train[k].pair_id, kind) for k, kind in sorted(hits))
     return report
 
 
@@ -362,11 +429,13 @@ def pairs_sort_key(pair: CompletionPair):
     return (pair.file_id, pair.scope_start_byte, pair.kind.value, pair.start_shift_bytes)
 
 
-# A row is vars() of the dataclass: its fields are exactly the JSONL keys,
-# and str-enum fields serialise as their value.
-_PAIR_FIELDS = get_type_hints(CompletionPair)
+# A pair's JSONL row: its public fields, str-enum fields as their value
+_ROW_SCHEMA = {
+    "category": ScopeCategory, "eot_token": str, "file_id": str, "kind": PairKind, "label": str,
+    "mask_len": int, "pair_id": str, "query": str, "scope_start_byte": int, "start_shift_bytes": int,
+}
 
-# write_jsonl's row for vars(pair): keys sorted, the two long strings (label,
+# write_jsonl's row for a pair: keys sorted, the two long strings (label,
 # query) given already escaped
 _PAIR_ROW = (
     b'{"category": "%s", "eot_token": "%s", "file_id": "%s", "kind": "%s", "label": "%s", '
@@ -381,26 +450,20 @@ class FilePairs(NamedTuple):
     pairs: list[CompletionPair]
 
 
-def _utf8_len(text: str) -> int:
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
-
-
 def _pair_rows(files: Iterable[FilePairs]) -> Iterator[bytes]:
     for content, pairs in files:
         escaped = EscapedUTF8(content)
         for p in pairs:
-            part = p.scope_start_byte + p.start_shift_bytes
-            label_end = part + _utf8_len(p.label) - _utf8_len(p.eot_token)
             yield _PAIR_ROW % (
                 json_field(p.category), json_field(p.eot_token), json_field(p.file_id), json_field(p.kind),
-                escaped.slice(part, label_end) + json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
-                escaped.slice(part - _utf8_len(p.query), part), p.scope_start_byte, p.start_shift_bytes,
+                escaped.slice(p.part, p.label_end) + json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
+                escaped.slice(p.query_start, p.part), p.scope_start_byte, p.start_shift_bytes,
             )
 
 
 def write_pairs(files: Iterable[FilePairs], path: str | Path) -> str:
-    """Write each file's pairs as the JSONL rows write_jsonl gives
-    vars(pair); returns the sha256 hex digest of the file.
+    """Write each file's pairs as JSONL rows, keys sorted as write_jsonl
+    sorts them; returns the sha256 hex digest of the file.
 
     Each file's content is escaped once, and each of its pairs' query and
     label (the eot token aside) is written as a slice of that: the pairs
@@ -409,8 +472,51 @@ def write_pairs(files: Iterable[FilePairs], path: str | Path) -> str:
     return write_lines(_pair_rows(files), path)
 
 
+def pairs_from_rows(rows: Iterable[dict], where: str = "") -> list[CompletionPair]:
+    """Pairs from their JSONL rows (checked against _ROW_SCHEMA), in order.
+
+    A row's query and label body are the bytes of its file from part -
+    (query bytes) to part + (label body bytes), part = scope_start_byte +
+    start_shift_bytes. The rows of one file_id share one content where
+    their spans overlap and their bytes agree; a row that disagrees with
+    the rows before it gets its own. Raises ValueError, prefixed with
+    ``where``, for a row whose label does not end with its eot_token or
+    whose mask_len is not the query's length.
+    """
+    rows = list(rows)
+    texts, spans = [], []  # per row: (query + label body, query byte length), their span of the file
+    for d in rows:
+        label, eot = d["label"], d["eot_token"]
+        if not label.endswith(eot):
+            raise ValueError(f"{where}pair {d['pair_id']}: label does not end with its eot_token {eot!r}")
+        if d["mask_len"] != len(d["query"]):
+            raise ValueError(f"{where}pair {d['pair_id']}: mask_len {d['mask_len']} is not the query's length")
+        query = _utf8(d["query"])
+        texts.append((query + _utf8(label[: len(label) - len(eot)]), len(query)))
+        at = d["scope_start_byte"] + d["start_shift_bytes"] - len(query)
+        spans.append(Span(d["file_id"], at, at + len(texts[-1][0])))  # the file named, not held
+    homes = [(text, 0) for text, _ in texts]  # per row: its content, where its bytes start there
+    for run, members in merged_runs(spans):
+        block, agreed = bytearray(), []
+        for i in members:
+            text, off = texts[i][0], spans[i].start - run.start
+            if off <= len(block) and block[off : off + len(text)] == text[: len(block) - off]:
+                block += text[len(block) - off :]
+                agreed.append((i, off))
+        content = bytes(block)
+        for i, off in agreed:
+            homes[i] = (content, off)
+    return [
+        CompletionPair(
+            d["pair_id"], d["kind"], d["start_shift_bytes"], d["category"], d["file_id"], d["scope_start_byte"],
+            d["eot_token"], content, off, off + qlen, off + len(text),
+        )
+        for d, (text, qlen), (content, off) in zip(rows, texts, homes)
+    ]
+
+
 def read_pairs(path: str | Path) -> list[CompletionPair]:
-    return [CompletionPair(**{k: d[k] for k in _PAIR_FIELDS}) for d in read_jsonl(path, _PAIR_FIELDS)]
+    return pairs_from_rows(read_jsonl(path, _ROW_SCHEMA), f"{path}: ")
 
 
 def count_pairs(pairs: Iterable[CompletionPair]) -> Counter[tuple[ScopeCategory, PairKind]]:

@@ -270,7 +270,8 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     )
     rag_inputs = {"index": index_path, "tests": held_path}
     with runner.stage("rag_eval", rag_inputs, [predictions_path, records_path, report_path]):
-        neighbors = ragindex.knn_search_many(index, embedder.embed_texts([p.query for p in tests]), config.n_neighbors)
+        query_vecs = embedder.embed_texts([p.query_span for p in tests])
+        neighbors = ragindex.knn_search_many(index, query_vecs, config.n_neighbors)
         prompts = [
             (p.pair_id, ragindex.augment_query(p.query, found, index, config.budget_bytes))
             for p, found in zip(tests, neighbors)

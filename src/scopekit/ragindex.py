@@ -1,10 +1,11 @@
 """Exact-kNN retrieval over completion-pair queries.
 
 Keys are embeddings of primary-pair queries, values the pair labels with
-the eot token stripped. Search is a linear cosine scan over every key: no
-approximation, ties broken by ascending pair_id, identical keys included,
-so results are exact and reproducible. A batch of queries reads the keys
-once (knn_search_many).
+the eot token stripped. The queries go to the embedder as spans of their
+files, so the builtin embedder hashes the bytes that queries share once.
+Search is a linear cosine scan over every key: no approximation, ties
+broken by ascending pair_id, identical keys included, so results are exact
+and reproducible. A batch of queries reads the keys once (knn_search_many).
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .errors import (
     InvalidConfigError,
     MalformedResponseError,
 )
-from .overlap import chain_runs
-from .pairs import CompletionPair, PairKind
+from .pairs import CompletionPair, PairKind, Span, merged_runs
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 384
 _NGRAM_SIZES = (3, 4)  # HashingEmbedder's; part of its embedder_id, so of every index file
+_MAX_RUN_BYTES = 1 << 16  # HashingEmbedder's: a run's hashing temporaries stay cache-sized
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # RemoteEmbedder's bound on a vector entry
 
@@ -60,7 +61,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ngram_keys(run: bytearray, dimension: int) -> list[np.ndarray]:
+def _ngram_keys(run: memoryview, dimension: int) -> list[np.ndarray]:
     """Per n-gram size, the key 2 * bucket + sign bit of the n-gram starting
     at each position of ``run``."""
     raw = np.frombuffer(run, dtype=np.uint8).astype(np.uint64)
@@ -84,11 +85,13 @@ class HashingEmbedder:
     Not semantically clever, but stable across runs and machines, which is
     what the index contract needs.
 
-    Each run of overlapping texts (a window that starts inside the previous
-    one) is hashed once, and each text's vector is counted from its slice
-    of the run's n-gram keys. The counts are exact, so a vector does not
-    depend on the texts around it; the order only decides how much hashing
-    is shared.
+    Texts may be given as Spans of a shared content, such as pair queries
+    in their file. The spans of one content that overlap are merged by
+    offset into runs of up to _MAX_RUN_BYTES, each run is hashed once, and
+    each span's vector is counted from its slice of the run's n-gram keys.
+    The counts are exact, so a vector does not depend on the spans around
+    it; they only decide how much hashing is shared. A str is a content of
+    its own.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
@@ -101,16 +104,18 @@ class HashingEmbedder:
         grams = "-".join(str(n) for n in _NGRAM_SIZES)
         return f"builtin-ngram-hash/d{self.dimension}/n{grams}"
 
-    def _vectors(self, texts: Sequence[str]) -> np.ndarray:
+    def _vectors(self, texts: Sequence[str | Span]) -> np.ndarray:
         # filled in place: stacking one array per text leaves that many freed
         # blocks in the heap, which stays resident and raises peak RSS
         out = np.zeros((len(texts), self.dimension), dtype=np.float32)
-        for text in texts:
-            if not text:
+        spans = [text if isinstance(text, Span) else _str_span(text) for text in texts]
+        for span in spans:
+            if span.start == span.stop:
                 logger.warning("embedding empty text: zero vector")
-        for run, spans in chain_runs((i, text.encode("utf-8")) for i, text in enumerate(texts)):
-            keys = _ngram_keys(run, self.dimension)
-            for i, at, length in spans:
+        for run, members in merged_runs(spans, _MAX_RUN_BYTES):
+            keys = _ngram_keys(memoryview(run.content)[run.start : run.stop], self.dimension)
+            for i in members:
+                at, length = spans[i].start - run.start, spans[i].stop - spans[i].start
                 counts = np.zeros(2 * self.dimension, dtype=np.intp)
                 for n, k in zip(_NGRAM_SIZES, keys):
                     counts += np.bincount(k[at : at + max(length - n + 1, 0)], minlength=2 * self.dimension)
@@ -124,8 +129,13 @@ class HashingEmbedder:
     def embed(self, text: str) -> np.ndarray:
         return self._vectors([text])[0]
 
-    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_texts(self, texts: Sequence[str | Span]) -> np.ndarray:
         return self._vectors(texts)
+
+
+def _str_span(text: str) -> Span:
+    data = text.encode("utf-8")
+    return Span(data, 0, len(data))
 
 
 class RemoteEmbedder:
@@ -190,10 +200,11 @@ class RemoteEmbedder:
     def embed(self, text: str) -> np.ndarray:
         return self.embed_texts([text])[0]
 
-    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_texts(self, texts: Sequence[str | Span]) -> np.ndarray:
         if not texts:
             return np.zeros((0, self.dimension), dtype=np.float32)
-        batches = [list(texts[i : i + self.batch_size]) for i in range(0, len(texts), self.batch_size)]
+        texts = [text.text() if isinstance(text, Span) else text for text in texts]
+        batches = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             parts = list(pool.map(self._embed_batch, batches))
         return np.concatenate(parts, axis=0)
@@ -303,10 +314,10 @@ def index_build(pairs: Iterable[CompletionPair], embedder) -> VectorIndex:
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate pair_ids in index input")
     for p in pair_list:
-        if not p.query:
+        if p.query_start == p.part:
             logger.warning("pair %s has an empty query; key will be the zero vector", p.pair_id)
     try:
-        keys = embedder.embed_texts([p.query for p in pair_list])
+        keys = embedder.embed_texts([p.query_span for p in pair_list])
     except Exception:
         logger.error(
             "embedding failed while building index (first pair %s)",

@@ -11,7 +11,9 @@ from conftest import c_file_with_scopes, write_repo
 
 from scopekit.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
 from scopekit.config import SETTINGS, PipelineConfig
-from scopekit.pipeline import Mode, run_pipeline
+from scopekit.ingest import ingest_repository
+from scopekit.pairs import leakage_scan, write_leakage_report
+from scopekit.pipeline import Mode, extract_all_scopes, run_pipeline, split_pairs
 from scopekit.ragindex import VectorIndex
 
 
@@ -267,6 +269,49 @@ def test_leak_scan_command(tmp_path, repo, capsys):
     assert any(f["test_pair_id"] == "t0" for f in findings)
 
 
+def test_index_build_and_leak_scan_agree_with_rag_eval(tmp_path, stub_service):
+    """The CLI's index and leak scan, fed the JSONL pairs that RAG_EVAL wrote,
+    write what RAG_EVAL wrote from the pairs it held in memory: the spans
+    read_pairs rebuilds from the rows' offsets embed and scan as the pairs
+    cut from their files do."""
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    cfg = PipelineConfig(
+        repo_root=corpus,
+        output_dir=tmp_path / "run",
+        random_starts=2,
+        seed=1,
+        holdout_paths=("checksum.c", "geometry.hpp", "tracer.cpp"),
+        generate_endpoint=stub_service.generate_url,
+    )
+    out = run_pipeline(cfg, Mode.RAG_EVAL).out_dir
+    assert run(["index", "build", "--pairs", out / "train_pairs.jsonl", "--out", tmp_path / "train.index"]) == EXIT_OK
+    assert (tmp_path / "train.index").read_bytes() == (out / "train.index").read_bytes()
+
+    def primary_labels(path):
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        primary = [d for d in rows if d["kind"] == "primary"]
+        return [json.dumps({"pair_id": d["pair_id"], "label": d["label"]}) + "\n" for d in primary]
+
+    held_labels, train_labels = primary_labels(out / "holdout_pairs.jsonl"), primary_labels(out / "train_pairs.jsonl")
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text("".join(held_labels), encoding="utf-8")
+    leak_argv = ["leak-scan", "--train", out / "train_pairs.jsonl", "--tests", tests_file, "--out"]
+    assert run(leak_argv + [tmp_path / "leaks.jsonl"]) == EXIT_OK
+    assert (tmp_path / "leaks.jsonl").read_bytes() == (out / "leakage_report.jsonl").read_bytes()
+
+    # the held-out labels leak nothing, so also scan the train labels, which
+    # find themselves and every train pair they lie inside
+    tests_file.write_text("".join(held_labels + train_labels), encoding="utf-8")
+    assert run(leak_argv + [tmp_path / "all_leaks.jsonl"]) == EXIT_OK
+    manifest = ingest_repository(corpus, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
+    train, _ = split_pairs(extract_all_scopes(manifest), manifest, cfg)
+    tests = [(d["pair_id"], d["label"]) for d in map(json.loads, held_labels + train_labels)]
+    report = leakage_scan([p for f in train for p in f.pairs], tests, cfg.eot_token)
+    write_leakage_report(report, tmp_path / "want.jsonl")
+    assert len((tmp_path / "want.jsonl").read_text().splitlines()) == 895
+    assert (tmp_path / "all_leaks.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
 def test_predict_command(tmp_path, stub_service):
     stub_service.default_text = "predicted;"
     tests_file = tmp_path / "prompts.jsonl"
@@ -486,6 +531,26 @@ def _pairs_bogus_kind(tmp_path, repo):
     return argv, f"{pairs_file}:2: kind: 'bogus' is not a valid PairKind"
 
 
+def _pairs_row_argv(tmp_path, **changes):
+    """index build on one pairs row, with ``changes`` to a valid row."""
+    row = {"pair_id": "p", "query": "int f() {", "label": "return 1;}<|endoftext|>", "mask_len": 9,
+           "kind": "primary", "start_shift_bytes": 0, "category": "func_body", "file_id": "f",
+           "scope_start_byte": 9, "eot_token": "<|endoftext|>", **changes}
+    pairs_file = tmp_path / "pairs.jsonl"
+    pairs_file.write_text(json.dumps(row) + "\n")
+    return ["index", "build", "--pairs", pairs_file, "--out", tmp_path / "t.index"], pairs_file
+
+
+def _pairs_label_without_eot(tmp_path, repo):
+    argv, pairs_file = _pairs_row_argv(tmp_path, label="return 1;}")
+    return argv, f"{pairs_file}: pair p: label does not end with its eot_token '<|endoftext|>'"
+
+
+def _pairs_mask_len_not_query_length(tmp_path, repo):
+    argv, pairs_file = _pairs_row_argv(tmp_path, mask_len=4)
+    return argv, f"{pairs_file}: pair p: mask_len 4 is not the query's length"
+
+
 def _scopes_bogus_category(tmp_path, repo):
     run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
     row = {"file_id": "f", "category": "bogus", "start_byte": 0, "end_byte": 1, "depth": 0,
@@ -568,6 +633,8 @@ def _empty_manifest(tmp_path, repo):
         _leak_scan_label_not_string,
         _leak_scan_row_without_id_or_label,
         _pairs_bogus_kind,
+        _pairs_label_without_eot,
+        _pairs_mask_len_not_query_length,
         _scopes_bogus_category,
         _manifest_bad_byte_len,
         _scope_past_file_end,

@@ -31,6 +31,7 @@ from scopekit.pairs import (
     leakage_scan,
     make_primary_pair,
     make_random_start_pairs,
+    pairs_from_rows,
     pairs_sort_key,
     read_pairs,
     write_leakage_report,
@@ -332,6 +333,16 @@ def test_leakage_skips_empty_labels(caplog):
 _LEAK_TEXT = st.lists(st.sampled_from(["a", "b", "\0", "\r", "\n", "<EOT>"]), max_size=8).map("".join)
 
 
+def text_row(pair_id: str, query: str, label: str, file_id: str, part: int) -> dict:
+    """A pair's JSONL row as read_jsonl gives it, from its texts and the file
+    offset ``part`` between them."""
+    return {
+        "pair_id": pair_id, "query": query, "label": label, "mask_len": len(query), "kind": PairKind.PRIMARY,
+        "start_shift_bytes": 0, "category": ScopeCategory.FUNC_BODY, "file_id": file_id, "scope_start_byte": part,
+        "eot_token": "<EOT>",
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     train=st.lists(st.tuples(_LEAK_TEXT, _LEAK_TEXT), max_size=6),
@@ -339,11 +350,15 @@ _LEAK_TEXT = st.lists(st.sampled_from(["a", "b", "\0", "\r", "\n", "<EOT>"]), ma
     eot_token=st.sampled_from(["<EOT>", None]),
 )
 def test_leakage_scan_matches_oracle(train, tests, eot_token):
-    pa, _ = two_pairs()
-    pairs = [
-        dataclasses.replace(pa, pair_id=f"p{k}", label=label, query=query, eot_token="<EOT>")
+    # every row claims the start of one file: rows that agree share a content,
+    # the others get their own; a label gets the eot token it lacks, which
+    # leaves what the scan compares unchanged
+    rows = [
+        text_row(f"p{k}", query, label if label.endswith("<EOT>") else label + "<EOT>", "f", len(query.encode()))
         for k, (label, query) in enumerate(train)
     ]
+    pairs = pairs_from_rows(rows)
+    assert [(p.query, p.label) for p in pairs] == [(d["query"], d["label"]) for d in rows]
     labels = [(f"t{k}", label) for k, label in enumerate(tests)]
     report = leakage_scan(pairs, labels, eot_token)
     got = [(f.test_pair_id, f.training_pair_id, f.match_kind) for f in report.findings]
@@ -364,7 +379,8 @@ def chained_leak_cases(draw):
     """Train pairs cut as overlapping windows (query, then label) from a few
     shared contents, each content's windows in order, the contents' windows
     interleaved; one content may be long enough to pass a run's size cap.
-    Test labels are slices of the contents, pair labels and unrelated text."""
+    Test labels are slices of the contents, pair labels and unrelated text.
+    Each train pair comes with its content's index and its byte offset there."""
     contents = draw(st.lists(st.lists(_WINDOW_CHAR, max_size=50).map("".join), min_size=1, max_size=3))
     if draw(st.booleans()) and contents[0]:
         contents[0] *= 70_000 // len(contents[0]) + 1
@@ -373,20 +389,22 @@ def chained_leak_cases(draw):
         scale = max(1, len(content) // 40)
         step, width = draw(st.integers(1, 12)) * scale, draw(st.integers(0, 30)) * scale
         windows.append([
-            (content[a : a + width], draw(st.integers(0, width)))
+            (content[a : a + width], draw(st.integers(0, width)), a)
             for a in range(0, len(content), step)
         ][:40])
     train = []
     while any(windows):
         queue = draw(st.sampled_from([w for w in windows if w]))
-        text, split = queue.pop(0)
-        train.append((text[:split], text[split:] + "<EOT>"))
+        index = windows.index(queue)
+        text, split, a = queue.pop(0)
+        part = len(contents[index][: a + split].encode())
+        train.append((text[:split], text[split:] + "<EOT>", index, part))
     tests = []
     for _ in range(draw(st.integers(0, 5))):
         content = draw(st.sampled_from(contents))
         a = draw(st.integers(0, len(content)))
         sliced = content[a : a + draw(st.integers(0, 40))]
-        pair_texts = [text for pair in train for text in pair]
+        pair_texts = [text for pair in train for text in pair[:2]]
         label = draw(st.sampled_from([sliced, sliced + "<EOT>", "a\r\nb", "\0", *pair_texts]))
         tests.append(label)
     return train, tests
@@ -396,11 +414,10 @@ def chained_leak_cases(draw):
 @given(case=chained_leak_cases(), eot_token=st.sampled_from(["<EOT>", None]))
 def test_leakage_scan_matches_oracle_on_chained_windows(case, eot_token):
     train, tests = case
-    pa, _ = two_pairs()
-    pairs = [
-        dataclasses.replace(pa, pair_id=f"p{k}", query=query, label=label, eot_token="<EOT>")
-        for k, (query, label) in enumerate(train)
-    ]
+    pairs = pairs_from_rows(
+        text_row(f"p{k}", query, label, f"c{index}", part) for k, (query, label, index, part) in enumerate(train)
+    )
+    assert [(p.query, p.label) for p in pairs] == [pair[:2] for pair in train]
     labels = [(f"t{k}", label) for k, label in enumerate(tests)]
     report = leakage_scan(pairs, labels, eot_token)
     got = [(f.test_pair_id, f.training_pair_id, f.match_kind) for f in report.findings]
@@ -444,10 +461,40 @@ def test_write_read_roundtrip(tmp_path):
     files = [FilePairs(b"..{aaaa}", [pa]), FilePairs(b"..{bbbb}", [pb])]
     path = tmp_path / "pairs.jsonl"
     write_pairs(files, path)
-    assert read_pairs(path) == [pa, pb]
+    assert [row(p) for p in read_pairs(path)] == [row(pa), row(pb)]
     raw = path.read_bytes()
     write_pairs(files, path)
     assert path.read_bytes() == raw  # byte-identical rewrite
+
+
+def test_read_pairs_share_the_bytes_their_rows_agree_on(tmp_path):
+    """The pairs of one file read back share one content, which holds the
+    bytes their rows cover; a row edited to disagree gets its own."""
+    content = b"int pad;\n" * 30 + b"void f(){ if (x) { g(); } return; }\n"
+    start = content.index(b"{") + 1
+    inner = content.index(b"{", start) + 1
+    cands = [candidate(content, start, len(content) - 2), candidate(content, inner, content.index(b"}", inner))]
+    cfg = dataclasses.replace(LOOSE, max_prefix_bytes=40)
+    pairs = [make_primary_pair(c, content, cfg) for c in cands]
+    pairs += make_random_start_pairs(cands[0], content, cfg, k=3, seed=2)
+    path = tmp_path / "pairs.jsonl"
+    write_pairs([FilePairs(content, pairs)], path)
+    read = read_pairs(path)
+    assert [row(p) for p in read] == [row(p) for p in pairs]
+    assert len({id(p.content) for p in read}) == 1
+    assert read[0].content == content[min(p.query_start for p in pairs) : max(p.label_end for p in pairs)]
+    rows = path.read_text(encoding="utf-8").splitlines()
+    edited = json.loads(rows[1])
+    edited["query"] = edited["query"].replace("pad", "PAD")
+    path.write_text("\n".join([rows[0], json.dumps(edited), *rows[2:]]) + "\n", encoding="utf-8")
+    read = read_pairs(path)
+    assert read[1].query == edited["query"] and read[1].content == _utf8_row_text(edited)
+    assert [row(p) for p in read[:1] + read[2:]] == [row(p) for p in pairs[:1] + pairs[2:]]
+    assert len({id(p.content) for p in read}) == 2
+
+
+def _utf8_row_text(d: dict) -> bytes:
+    return (d["query"] + d["label"][: -len(d["eot_token"])]).encode()
 
 
 def test_written_json_is_sorted_and_unicode(tmp_path):
@@ -479,7 +526,7 @@ _WRITER_TEXT = st.lists(
 )
 def test_pair_writer_matches_json_dumps(tmp_path, files, max_prefix, eot_token, category):
     """Rows cut from each file's escaped content are the bytes json.dumps
-    gives vars(pair)."""
+    gives the row of each pair's public fields."""
     cfg = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0, max_prefix_bytes=max_prefix)
     groups = []
     for i, (prefix, body, suffix) in enumerate(files):
@@ -490,7 +537,7 @@ def test_pair_writer_matches_json_dumps(tmp_path, files, max_prefix, eot_token, 
         pairs += make_random_start_pairs(cand, content, cfg, eot_token, k=3, seed=i)
         groups.append(FilePairs(content, pairs))
     pairs = [p for g in groups for p in g.pairs]
-    oracle = "".join(json.dumps(vars(p), sort_keys=True, ensure_ascii=False) + "\n" for p in pairs).encode()
+    oracle = "".join(json.dumps(row(p), sort_keys=True, ensure_ascii=False) + "\n" for p in pairs).encode()
     path = tmp_path / "pairs.jsonl"
     digest = write_pairs(groups, path)
     assert path.read_bytes() == oracle
@@ -522,12 +569,15 @@ def test_sort_key_orders_by_file_scope_kind_shift():
 
 
 def row(pair: CompletionPair) -> dict:
+    """The pair's JSONL row, from its public fields."""
     return {
         "pair_id": pair.pair_id,
         "query": pair.query,
         "label": pair.label,
+        "mask_len": pair.mask_len,
         "kind": pair.kind.value,
         "start_shift_bytes": pair.start_shift_bytes,
+        "category": pair.category.value,
         "file_id": pair.file_id,
         "scope_start_byte": pair.scope_start_byte,
         "eot_token": pair.eot_token,

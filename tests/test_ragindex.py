@@ -1,6 +1,7 @@
 """Embedding, exact-kNN retrieval, binary index format, prompt assembly."""
 
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -20,7 +21,7 @@ from scopekit.errors import (
     EmbeddingServiceUnavailableError,
     MalformedResponseError,
 )
-from scopekit.pairs import FilterConfig, make_primary_pair, read_pairs
+from scopekit.pairs import FilterConfig, Span, make_primary_pair, read_pairs
 from scopekit.pipeline import Mode, run_pipeline
 from scopekit.ragindex import (
     DEFAULT_DIMENSION,
@@ -146,33 +147,82 @@ def test_embed_texts_matches_oracle_on_overlapping_windows(texts, dimension):
         assert row.tobytes() == oracle_embed(text, dimension).tobytes()
 
 
+@st.composite
+def content_spans(draw):
+    """A content and spans of it on character boundaries, in any order, with
+    repeats and empty and under-3-byte spans among them."""
+    content = "".join(draw(st.lists(_CONTENT_CHAR, max_size=300)))
+    bounds = list(itertools.accumulate((len(c.encode()) for c in content), initial=0))
+    data = content.encode()
+    cut = st.integers(0, len(content))
+    spans = [Span(data, bounds[a], bounds[max(a, b)]) for a, b in draw(st.lists(st.tuples(cut, cut), max_size=40))]
+    return spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(spans=content_spans(), dimension=st.sampled_from([1, 7, 64]))
+def test_embed_texts_matches_oracle_on_spans(spans, dimension):
+    out = HashingEmbedder(dimension).embed_texts(spans)
+    for row, span in zip(out, spans):
+        assert row.tobytes() == oracle_embed(span.text(), dimension).tobytes()
+
+
 def test_embed_texts_matches_oracle_across_run_cap():
+    """Spans of one content merge into runs by offset; the content is past
+    a 64 KiB run, so the runs restart at their size cap."""
     rng = random.Random(5)
-    content = "".join(rng.choice("int x = f(y);\n{}é") for _ in range(80_000))  # past a 64 KiB run
-    texts = [content[a : a + 4000] for a in range(0, len(content) - 4000, 1900)]
-    out = HashingEmbedder(16).embed_texts(texts)
-    for row, text in zip(out, texts):
-        assert row.tobytes() == oracle_embed(text, 16).tobytes()
+    content = "".join(rng.choice("int x = f(y);\n{}é") for _ in range(80_000))
+    data = content.encode()
+    bounds = list(itertools.accumulate((len(c.encode()) for c in content), initial=0))
+    windows = [(a, a + 4000) for a in range(0, len(content) - 4000, 1900)]
+    out = HashingEmbedder(16).embed_texts([Span(data, bounds[a], bounds[b]) for a, b in windows])
+    assert bounds[-1] > 1 << 16
+    for row, (a, b) in zip(out, windows):
+        assert row.tobytes() == oracle_embed(content[a:b], 16).tobytes()
 
 
-def test_embed_texts_hashes_overlapping_windows_once(monkeypatch):
-    """40 sliding windows of one content: each n-gram size hashes at most the
-    content once, not every window again."""
-    rng = random.Random(7)
-    content = "".join(rng.choice("abcdefgh(){};\n ") for _ in range(6000))
-    texts = [content[a : a + 3072] for a in range(0, 40 * 73, 73)]
+def counting_mix64(monkeypatch) -> list[int]:
+    """How many values each _mix64 call from now on hashes."""
     hashed = []
     real_mix64 = ragindex._mix64
 
-    def counting_mix64(x):
+    def counting(x):
         hashed.append(len(x))
         return real_mix64(x)
 
-    monkeypatch.setattr(ragindex, "_mix64", counting_mix64)
-    out = HashingEmbedder().embed_texts(texts)
+    monkeypatch.setattr(ragindex, "_mix64", counting)
+    return hashed
+
+
+def test_embed_texts_hashes_overlapping_windows_once(monkeypatch):
+    """40 sliding windows of one content, given as spans of it: each n-gram
+    size hashes at most the content once, not every window again."""
+    rng = random.Random(7)
+    content = "".join(rng.choice("abcdefgh(){};\n ") for _ in range(6000)).encode()
+    spans = [Span(content, a, a + 3072) for a in range(0, 40 * 73, 73)]
+    hashed = counting_mix64(monkeypatch)
+    out = HashingEmbedder().embed_texts(spans)
     assert sum(hashed) <= 2 * len(content)
     for k in (0, 17, 39):
-        assert out[k].tobytes() == oracle_embed(texts[k], DEFAULT_DIMENSION).tobytes()
+        assert out[k].tobytes() == oracle_embed(spans[k].text(), DEFAULT_DIMENSION).tobytes()
+
+
+def test_index_build_hashes_overlapping_pairs_once(monkeypatch):
+    """40 primary pairs of one file, whose queries overlap: index_build hashes
+    at most the bytes the queries cover, per n-gram size."""
+    rng = random.Random(11)
+    content = "".join(rng.choice("abcdefgh();\n ") for _ in range(8000)).encode()
+    cfg = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0, max_prefix_bytes=3072)
+    pairs = [make_primary_pair(candidate(content, s, s + 20), content, cfg) for s in range(500, 500 + 40 * 97, 97)]
+    covered = set()
+    for p in pairs:
+        covered.update(range(p.query_start, p.part))
+    hashed = counting_mix64(monkeypatch)
+    index = index_build(pairs, HashingEmbedder())
+    assert len(index) == 40 and len(hashed) == 2  # one run, hashed once per n-gram size
+    assert max(hashed) <= len(covered)
+    for k in (0, 21, 39):
+        assert index.keys[k].tobytes() == oracle_embed(pairs[k].query, DEFAULT_DIMENSION).tobytes()
 
 
 def test_fixture_corpus_index_golden_hash(tmp_path):
