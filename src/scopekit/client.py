@@ -9,15 +9,17 @@ behavior.
 from __future__ import annotations
 
 import dataclasses
+import http.client
+import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import requests
 
 from .errors import EndpointUnavailableError, GenerationTimeoutError, MalformedResponseError
 from .jsonl import write_jsonl
@@ -62,6 +64,35 @@ def _auth_headers() -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"} if token else {}
 
 
+def post_json(url: str, payload, timeout: float, headers: dict[str, str] | None = None) -> tuple[int, bytes]:
+    """POST ``payload`` as JSON to ``url``; the answer's status and body.
+
+    An answer of any status is returned, not raised. Proxies come from the
+    environment (HTTP_PROXY, HTTPS_PROXY, NO_PROXY) and a 301/302/303 is
+    followed as a GET, as urllib does. Raises TimeoutError when no answer
+    came within ``timeout`` seconds, and ConnectionError for every other
+    transport failure: a refused or reset connection, a body cut short, a
+    bad status line, or a URL that urllib cannot open.
+    """
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    try:
+        request = urllib.request.Request(url, data, {"Content-Type": "application/json", **(headers or {})})
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:  # an answer, whatever its status
+            response = exc
+        with response:
+            return response.status, response.read()
+    except TimeoutError:
+        raise
+    except urllib.error.URLError as exc:  # urllib wraps a connect timeout too
+        if isinstance(exc.reason, TimeoutError):
+            raise TimeoutError(f"{url}: timed out") from exc
+        raise ConnectionError(f"{url}: {exc.reason}") from exc
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        raise ConnectionError(f"{url}: {exc}") from exc
+
+
 def _truncate_at_stop(text: str, stops: Sequence[str]) -> tuple[str, bool]:
     cut = len(text)
     for stop in stops:
@@ -95,22 +126,22 @@ def complete(
     for attempt in range(retries + 1):
         t0 = time.perf_counter()
         try:
-            resp = requests.post(endpoint, json=payload, timeout=request.timeout, headers=_auth_headers())
-        except requests.Timeout as exc:
+            status, data = post_json(endpoint, payload, request.timeout, _auth_headers())
+        except TimeoutError as exc:
             last_exc = GenerationTimeoutError(f"generate call timed out after {request.timeout}s")
             last_exc.__cause__ = exc
-        except requests.RequestException as exc:
+        except ConnectionError as exc:
             last_exc = EndpointUnavailableError(f"generate call failed: {exc}")
             last_exc.__cause__ = exc
         else:
-            if resp.status_code >= 500:
-                last_exc = EndpointUnavailableError(f"generate endpoint answered {resp.status_code}")
-            elif resp.status_code != 200:
-                raise EndpointUnavailableError(f"generate endpoint answered {resp.status_code}")
+            if status >= 500:
+                last_exc = EndpointUnavailableError(f"generate endpoint answered {status}")
+            elif status != 200:
+                raise EndpointUnavailableError(f"generate endpoint answered {status}")
             else:
                 latency = time.perf_counter() - t0
                 try:
-                    body = resp.json()
+                    body = json.loads(data)
                     text = body["text"]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise MalformedResponseError(f"bad generate response: {exc}") from exc

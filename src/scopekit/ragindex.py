@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import logging
 import math
 import struct
@@ -21,8 +22,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import requests
 
+from .client import post_json
 from .errors import (
     DimensionMismatchError,
     EmbeddingServiceUnavailableError,
@@ -48,6 +49,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SALTS = tuple(np.uint64((n * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) for n in _NGRAM_SIZES)
 
 _BLOCK_ROWS = 512  # queries per float32 product, rows per float64 cast in kNN
+_PRODUCT_BYTES = 1 << 25  # and bytes of one such product: 89 queries by 94,172 keys
 _F32_ROUNDING = 2.0**-24  # float32 unit roundoff
 
 
@@ -169,15 +171,13 @@ class RemoteEmbedder:
 
     def _embed_batch(self, batch: list[str]) -> np.ndarray:
         try:
-            resp = requests.post(self.endpoint, json={"texts": batch}, timeout=self.timeout)
-        except requests.RequestException as exc:
+            status, data = post_json(self.endpoint, {"texts": batch}, self.timeout)
+        except (TimeoutError, ConnectionError) as exc:
             raise EmbeddingServiceUnavailableError(f"embed call failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise EmbeddingServiceUnavailableError(
-                f"embed endpoint answered {resp.status_code}"
-            )
+        if status != 200:
+            raise EmbeddingServiceUnavailableError(f"embed endpoint answered {status}")
         try:
-            body = resp.json()
+            body = json.loads(data)
             vectors = body["vectors"]
             dim = int(body["dim"])
         except (ValueError, KeyError, TypeError) as exc:
@@ -329,7 +329,7 @@ def index_build(pairs: Iterable[CompletionPair], embedder) -> VectorIndex:
         dimension=embedder.dimension,
         embedder_id=embedder.embedder_id,
         pair_ids=ids,
-        keys=keys.astype(np.float32),
+        keys=keys.astype(np.float32, copy=False),  # both embedders return float32 already
         values=values,
     )
 
@@ -377,13 +377,14 @@ def knn_search_many(index: VectorIndex, query_vecs: Iterable[np.ndarray], n: int
     Each list holds fewer than n results only when the index holds fewer
     entries. Similarity to a zero vector is 0.0.
 
-    The keys are read once per _BLOCK_ROWS queries, by one float32 product
-    with the unit-scaled queries; divided by the keys' float64 norms, it
-    gives every cosine to within 2 * (dim + 2) float32 units of rounding.
-    The entries within twice that of a query's n-th best hold its true top
-    n and all ties with it; only those are scored exactly (``_cosines``)
-    and ordered. Keys too large or small for that bound to hold in float32
-    are always scored exactly.
+    The keys are read once per block of queries (at most _BLOCK_ROWS, and
+    at most _PRODUCT_BYTES of product unless one query alone needs more),
+    by one float32 product with the unit-scaled queries; divided by the
+    keys' float64 norms, it gives every cosine to within 2 * (dim + 2)
+    float32 units of rounding. The entries within twice that of a query's
+    n-th best hold its true top n and all ties with it; only those are
+    scored exactly (``_cosines``) and ordered. Keys too large or small for
+    that bound to hold in float32 are always scored exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -402,8 +403,9 @@ def knn_search_many(index: VectorIndex, query_vecs: Iterable[np.ndarray], n: int
     inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=scaled).astype(np.float32)
     ranks = index.ranks
     candidates = []
-    for lo in range(0, len(queries), _BLOCK_ROWS):
-        unit = _unit_rows(queries[lo : lo + _BLOCK_ROWS]).astype(np.float32)
+    step = max(1, min(_BLOCK_ROWS, _PRODUCT_BYTES // (4 * count)))
+    for lo in range(0, len(queries), step):
+        unit = _unit_rows(queries[lo : lo + step]).astype(np.float32)
         approx = unit @ index.keys.T
         approx[:, unscaled] = -np.inf
         approx *= inverse
@@ -413,6 +415,7 @@ def knn_search_many(index: VectorIndex, query_vecs: Iterable[np.ndarray], n: int
             else:
                 nth = float(np.partition(row, count - n)[count - n]) if n < count else -np.inf
                 candidates.append(np.flatnonzero((row >= nth - margin) | unscaled))
+        del approx, row  # so the next product is taken after this one is freed
     sizes = [len(c) for c in candidates]
     rows = np.concatenate(candidates)
     sims = _cosines(index.keys, queries, rows, np.repeat(np.arange(len(queries)), sizes))

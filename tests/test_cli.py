@@ -218,16 +218,10 @@ def test_index_build_rejects_malformed_remote_vectors(tmp_path, repo, capsys, mo
     run(["pairs", "--scopes", out / "scopes.jsonl", "--manifest", out / "ingest", "--out", out / "pairs.jsonl"])
     capsys.readouterr()
 
-    class Answer:
-        status_code = 200
+    def answer(url, payload, timeout, headers=None):
+        return 200, json.dumps({"vectors": vectors_for(payload["texts"]), "dim": 384}).encode()
 
-        def __init__(self, texts):
-            self.texts = texts
-
-        def json(self):
-            return {"vectors": vectors_for(self.texts), "dim": 384}
-
-    monkeypatch.setattr(ragindex.requests, "post", lambda url, json, timeout: Answer(json["texts"]))
+    monkeypatch.setattr(ragindex, "post_json", answer)
     code = run(
         ["index", "build", "--pairs", out / "pairs.jsonl", "--embedder", "remote:http://embed.invalid",
          "--out", out / "t.index"]

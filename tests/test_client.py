@@ -1,11 +1,18 @@
 """Generation endpoint client: wire payload, stops, retries, batching."""
 
 import json
+import logging
+import os
+import subprocess
+import sys
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import scopekit
 from scopekit.client import (
     AUTH_TOKEN_ENV,
     GenerationRequest,
@@ -21,7 +28,8 @@ from scopekit.errors import (
 
 
 def scripted_server(responses):
-    """Tiny POST server that replays (status, body_bytes) per request."""
+    """Tiny POST server that replays (status, body_bytes) per request; a
+    third item, if given, is the Content-Length to claim."""
     state = {"i": 0, "seen": []}
 
     class Handler(BaseHTTPRequestHandler):
@@ -33,10 +41,10 @@ def scripted_server(responses):
             state["seen"].append(
                 (json.loads(self.rfile.read(length)), dict(self.headers))
             )
-            status, body = responses[min(state["i"], len(responses) - 1)]
+            status, body, *claimed = responses[min(state["i"], len(responses) - 1)]
             state["i"] += 1
             self.send_response(status)
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length", str(claimed[0] if claimed else len(body)))
             self.end_headers()
             self.wfile.write(body)
 
@@ -132,6 +140,44 @@ def test_4xx_fails_immediately():
 def test_connection_refused():
     with pytest.raises(EndpointUnavailableError):
         complete("http://127.0.0.1:9/generate", GenerationRequest(prompt="p"), retries=0)
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:9/generate", "localhost/generate"])
+def test_scheme_less_endpoint_is_unavailable_after_retries(caplog, endpoint):
+    """urllib raises URLError for the first and ValueError for the second."""
+    with caplog.at_level(logging.WARNING, logger="scopekit.client"):
+        with pytest.raises(EndpointUnavailableError, match="generate call failed"):
+            complete(endpoint, GenerationRequest(prompt="p"), retries=2)
+    assert sum("retrying" in r.getMessage() for r in caplog.records) == 2
+
+
+def test_connect_timeout_wrapped_by_urllib_is_a_timeout(monkeypatch):
+    def connect_timed_out(request, timeout):
+        raise urllib.error.URLError(TimeoutError())
+
+    monkeypatch.setattr(urllib.request, "urlopen", connect_timed_out)
+    with pytest.raises(GenerationTimeoutError):
+        complete("http://127.0.0.1:9/generate", GenerationRequest(prompt="p"), retries=1)
+
+
+def test_body_cut_short_is_unavailable():
+    """A body shorter than its Content-Length raises http.client.IncompleteRead,
+    which is no OSError; it still maps to EndpointUnavailableError."""
+    body = json.dumps({"text": "cut"}).encode()
+    server, url, _ = scripted_server([(200, body, len(body) + 100)])
+    try:
+        with pytest.raises(EndpointUnavailableError, match="IncompleteRead"):
+            complete(url, GenerationRequest(prompt="p"), retries=0)
+    finally:
+        server.shutdown()
+
+
+def test_importing_the_cli_and_pipeline_loads_no_requests():
+    src = os.path.dirname(os.path.dirname(scopekit.__file__))
+    code = "import sys, scopekit.cli, scopekit.pipeline; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_malformed_json_and_missing_text():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import struct
@@ -261,20 +262,17 @@ def test_remote_embedder_dimension_mismatch(stub_service):
         emb.embed("x")
 
 
-class _Answer:
-    status_code = 200
-
-    def __init__(self, body):
-        self._body = body
-
-    def json(self):
-        return self._body
+def answer(body):
+    """What post_json returns for a service that answers 200 with ``body``."""
+    return 200, json.dumps(body).encode()
 
 
 def answer_with(vector_for):
-    """A stand-in for requests.post whose service answers 200 with one
+    """A stand-in for post_json whose service answers 200 with one
     vector_for(text) per text, at dim 8."""
-    return lambda url, json, timeout: _Answer({"vectors": [vector_for(t) for t in json["texts"]], "dim": 8})
+    return lambda url, payload, timeout, headers=None: answer(
+        {"vectors": [vector_for(t) for t in payload["texts"]], "dim": 8}
+    )
 
 
 @pytest.mark.parametrize(
@@ -292,7 +290,7 @@ def answer_with(vector_for):
     ids=["null", "bool", "nan", "inf", "float32-overflow", "huge-int", "string", "nested"],
 )
 def test_remote_embedder_rejects_non_numeric_entries(monkeypatch, vector_for):
-    monkeypatch.setattr(ragindex.requests, "post", answer_with(vector_for))
+    monkeypatch.setattr(ragindex, "post_json", answer_with(vector_for))
     with pytest.raises(MalformedResponseError, match="not a finite float32"):
         RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
 
@@ -301,13 +299,15 @@ def test_remote_embedder_rejects_non_numeric_entries(monkeypatch, vector_for):
     "vectors", [5, None, "vectors", [5, 6], {"a": [0.5] * 8}], ids=["int", "null", "string", "ints", "object"]
 )
 def test_remote_embedder_rejects_vectors_not_a_list_of_lists(monkeypatch, vectors):
-    monkeypatch.setattr(ragindex.requests, "post", lambda url, json, timeout: _Answer({"vectors": vectors, "dim": 8}))
+    monkeypatch.setattr(
+        ragindex, "post_json", lambda url, payload, timeout, headers=None: answer({"vectors": vectors, "dim": 8})
+    )
     with pytest.raises(MalformedResponseError, match="not a list of lists"):
         RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
 
 
 def test_remote_embedder_accepts_ints_and_floats(monkeypatch):
-    monkeypatch.setattr(ragindex.requests, "post", answer_with(lambda t: [1, -2, 0.5, 0, 0, 0, 0, 3.4e38]))
+    monkeypatch.setattr(ragindex, "post_json", answer_with(lambda t: [1, -2, 0.5, 0, 0, 0, 0, 3.4e38]))
     out = RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
     assert out.dtype == np.float32 and np.isfinite(out).all()
     assert out[1].tolist() == [1.0, -2.0, 0.5, 0.0, 0.0, 0.0, 0.0, float(np.float32(3.4e38))]
@@ -319,6 +319,12 @@ def test_remote_embedder_unreachable():
         emb.embed("x")
 
 
+@pytest.mark.parametrize("endpoint", ["localhost:9", "localhost"])
+def test_remote_embedder_scheme_less_endpoint_is_unavailable(endpoint):
+    with pytest.raises(EmbeddingServiceUnavailableError, match="embed call failed"):
+        RemoteEmbedder(endpoint, dimension=8).embed("x")
+
+
 # ------------------------------------------------------------- index io
 
 
@@ -328,6 +334,26 @@ def test_index_build_preserves_input_order_and_values():
     assert idx.values == [p.label_without_eot() for p in pairs]
     assert idx.keys.shape == (3, 16)
     assert idx.value_for(pairs[1].pair_id) == pairs[1].label_without_eot()
+
+
+def test_index_build_holds_the_keys_once():
+    """The embedder's float32 key matrix becomes the index's keys as it is:
+    index_build's tracemalloc peak stays below 1.5 times the matrix (a
+    copy of it would take the peak to twice)."""
+    contents = [f"int f{i}(int x) {{ return x; }}".encode() for i in range(2000)]
+    pairs = [
+        make_primary_pair(candidate(c, c.index(b"{") + 1, len(c) - 1, file_id=f"{i:064x}"), c, LOOSE)
+        for i, c in enumerate(contents)
+    ]
+    embedder = HashingEmbedder(dimension=2048)
+    tracemalloc.start()
+    try:
+        index = index_build(pairs, embedder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.keys.dtype == np.float32 and len(index) == 2000
+    assert peak < 1.5 * index.keys.nbytes, f"peak {peak / 1e6:.1f} MB for {index.keys.nbytes / 1e6:.1f} MB of keys"
 
 
 def test_index_build_skips_non_primary_and_rejects_duplicates():
@@ -580,6 +606,48 @@ def test_knn_search_is_knn_search_many_of_one():
         for k in (1, n, len(index) + 2):
             assert knn_search(index, vec, k) == knn_search_many(index, [vec], k)[0]
             assert knn_search(index, vec, k) == knn_search_many(index, [*others, vec], k)[-1]
+
+
+@pytest.mark.parametrize("rows_per_product", [1, 3])
+def test_knn_search_many_splits_queries_over_products_by_bytes(monkeypatch, rows_per_product):
+    """With the product capped at a few rows of keys, eleven queries take
+    several products; each query's result is still the oracle's."""
+    index, query, n = duplicate_key_case(49)
+    rng = np.random.default_rng(5)
+    queries = [query, np.zeros(384), index.keys[2], *rng.standard_normal((8, 384))]
+    products = []
+    real_unit_rows = ragindex._unit_rows
+    monkeypatch.setattr(ragindex, "_unit_rows", lambda rows: products.append(len(rows)) or real_unit_rows(rows))
+    monkeypatch.setattr(ragindex, "_PRODUCT_BYTES", 4 * len(index) * rows_per_product + 3)
+    got = knn_search_many(index, queries, n)
+    assert products == [min(rows_per_product, 11 - lo) for lo in range(0, 11, rows_per_product)]
+    key_rows = index.keys.astype(np.float64).tolist()
+    for found, q in zip(got, queries):
+        want = oracle_knn(index.pair_ids, key_rows, np.asarray(q, dtype=np.float64).tolist(), n)
+        assert [pid for pid, _ in found] == [pid for pid, _ in want]
+        for (_, s_got), (_, s_want) in zip(found, want):
+            assert abs(s_got - s_want) <= 1e-12
+
+
+def test_knn_search_many_holds_one_product_at_a_time(monkeypatch):
+    """100 queries over four products: each product is freed before the
+    next is taken, so the peak stays below one and a half products."""
+    rng = np.random.default_rng(11)
+    count = 100_000
+    keys = rng.standard_normal((count, 8), dtype=np.float32)
+    index = VectorIndex(8, "t", [f"p{j:06d}" for j in range(count)], keys, [""] * count)
+    index.ranks  # cached before measuring
+    product = 4 * count * 25
+    monkeypatch.setattr(ragindex, "_PRODUCT_BYTES", product)
+    queries = rng.standard_normal((100, 8))
+    tracemalloc.start()
+    try:
+        found = knn_search_many(index, queries, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(f) for f in found] == [3] * 100
+    assert peak < 1.5 * product, f"tracemalloc peak {peak / 1e6:.1f} MB for {product / 1e6:.1f} MB products"
 
 
 def test_knn_search_many_memory_stays_below_half_a_float64_key_copy():
