@@ -69,14 +69,18 @@ def post_json(url: str, payload, timeout: float, headers: dict[str, str] | None 
 
     An answer of any status is returned, not raised. Proxies come from the
     environment (HTTP_PROXY, HTTPS_PROXY, NO_PROXY) and a 301/302/303 is
-    followed as a GET, as urllib does. Raises TimeoutError when no answer
-    came within ``timeout`` seconds, and ConnectionError for every other
-    transport failure: a refused or reset connection, a body cut short, a
-    bad status line, or a URL that urllib cannot open.
+    followed as a GET, as urllib does; ``headers`` go to ``url`` only, never
+    on to a redirect's target, so a bearer token cannot leak to another host.
+    Raises TimeoutError when no answer came within ``timeout`` seconds, and
+    ConnectionError for every other transport failure: a refused or reset
+    connection, a body cut short, a bad status line, or a URL that urllib
+    cannot open.
     """
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
     try:
-        request = urllib.request.Request(url, data, {"Content-Type": "application/json", **(headers or {})})
+        request = urllib.request.Request(url, data, {"Content-Type": "application/json"})
+        for name, value in (headers or {}).items():
+            request.add_unredirected_header(name, value)  # urllib copies only the others
         try:
             response = urllib.request.urlopen(request, timeout=timeout)
         except urllib.error.HTTPError as exc:  # an answer, whatever its status

@@ -28,25 +28,31 @@ from scopekit.errors import (
 
 
 def scripted_server(responses):
-    """Tiny POST server that replays (status, body_bytes) per request; a
-    third item, if given, is the Content-Length to claim."""
+    """Tiny server that replays (status, body_bytes) per request; a third
+    item, if given, is a dict of headers to send (or override) with it.
+    A GET is recorded with None for its body."""
     state = {"i": 0, "seen": []}
 
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):
             pass
 
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", 0))
-            state["seen"].append(
-                (json.loads(self.rfile.read(length)), dict(self.headers))
-            )
-            status, body, *claimed = responses[min(state["i"], len(responses) - 1)]
+        def _answer(self, body_json):
+            state["seen"].append((body_json, dict(self.headers)))
+            status, body, *extra = responses[min(state["i"], len(responses) - 1)]
             state["i"] += 1
             self.send_response(status)
-            self.send_header("Content-Length", str(claimed[0] if claimed else len(body)))
+            for name, value in {"Content-Length": str(len(body)), **(extra[0] if extra else {})}.items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
+
+        def do_POST(self):
+            length = int(self.headers.get("Content-Length", 0))
+            self._answer(json.loads(self.rfile.read(length)))
+
+        def do_GET(self):
+            self._answer(None)
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -164,7 +170,7 @@ def test_body_cut_short_is_unavailable():
     """A body shorter than its Content-Length raises http.client.IncompleteRead,
     which is no OSError; it still maps to EndpointUnavailableError."""
     body = json.dumps({"text": "cut"}).encode()
-    server, url, _ = scripted_server([(200, body, len(body) + 100)])
+    server, url, _ = scripted_server([(200, body, {"Content-Length": str(len(body) + 100)})])
     try:
         with pytest.raises(EndpointUnavailableError, match="IncompleteRead"):
             complete(url, GenerationRequest(prompt="p"), retries=0)
@@ -209,6 +215,23 @@ def test_auth_header_from_env(stub_service, monkeypatch):
         assert headers.get("Authorization") == "Bearer sekrit"
     finally:
         server.shutdown()
+
+
+def test_auth_header_not_sent_on_to_a_redirect_target(monkeypatch):
+    """A 302 is followed as a GET, but the bearer token goes to the
+    configured endpoint only, as requests did for a cross-host redirect."""
+    target, target_url, target_state = scripted_server([ok("moved")])
+    origin, url, origin_state = scripted_server([(302, b"", {"Location": target_url})])
+    try:
+        monkeypatch.setenv(AUTH_TOKEN_ENV, "sekrit")
+        assert complete(url, GenerationRequest(prompt="p"), retries=0).text == "moved"
+        assert origin_state["seen"][0][1].get("Authorization") == "Bearer sekrit"
+        ((body, headers),) = target_state["seen"]
+        assert body is None
+        assert "Authorization" not in headers
+    finally:
+        origin.shutdown()
+        target.shutdown()
 
 
 def test_batch_preserves_input_order(stub_service):
