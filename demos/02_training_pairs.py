@@ -20,7 +20,7 @@ from scopekit import (
     make_primary_pair,
     make_random_start_pairs,
 )
-from scopekit.pairs import FilePairs, check_pair_bounds, count_pairs, dataset_card, write_pairs
+from scopekit.pairs import check_pair_bounds, count_pairs, dataset_card, write_pairs
 
 HEADER = "/* sample accumulator module for the pair-generation demo */\n" * 4
 
@@ -88,7 +88,7 @@ print(json.dumps(card, indent=2, sort_keys=True))
 
 with tempfile.TemporaryDirectory() as out:
     jsonl = Path(out) / "train_pairs.jsonl"
-    write_pairs([FilePairs(record.content, pairs)], jsonl)  # pairs grouped with the file they were cut from
+    write_pairs(pairs, jsonl)  # each query and label is a slice of the file, escaped once
     rows = [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
 problems = check_pair_bounds(rows, cfg)
 print(f"bounds audit: {len(problems)} violations")

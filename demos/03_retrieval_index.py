@@ -59,7 +59,7 @@ with tempfile.TemporaryDirectory() as root:
     config = PipelineConfig(repo_root=Path(root), output_dir=Path(root))  # nothing is held out
 
 train, _ = split_pairs(extract_all_scopes(manifest), manifest, config)
-pairs = [p for f in train for p in f.pairs]
+pairs = list(train)
 
 # The built-in embedder hashes character n-grams into a fixed-width
 # vector: no model weights, byte-for-byte reproducible across machines.

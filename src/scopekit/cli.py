@@ -172,7 +172,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     tests = read_tests_jsonl(args.tests)
-    reports = score_to_files(tests, args.out, args.report, normalize=args.normalize == "ws", as_bytes=args.bytes)
+    reports, _, _ = score_to_files(tests, args.out, args.report, normalize=args.normalize == "ws", as_bytes=args.bytes)
     for r in reports:
         print(
             f"{r.category}: n={r.n_tests} mean_opt={r.mean_opt:.2f} median_opt={r.median_opt:.2f} "

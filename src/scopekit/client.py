@@ -199,8 +199,8 @@ def batch_predict(
         return list(pool.map(one, items))
 
 
-def write_predictions(outcomes: Iterable[PredictionOutcome], path: str | Path) -> None:
-    write_jsonl(
+def write_predictions(outcomes: Iterable[PredictionOutcome], path: str | Path) -> str:
+    return write_jsonl(
         (
             {
                 "test_id": o.test_id,

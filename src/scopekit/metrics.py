@@ -13,13 +13,14 @@ last row is the full distance.
 from __future__ import annotations
 
 import csv
+import io
 import re
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, write_jsonl, write_lines
 
 _WS_RUN = re.compile(r"[ \t]+")
 
@@ -172,29 +173,33 @@ def aggregate_report(records: Iterable[EvalRecord]) -> list[CategoryReport]:
     return out
 
 
-def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
-    write_jsonl(map(vars, records), path)
+def write_records(records: Iterable[EvalRecord], path: str | Path) -> str:
+    return write_jsonl(map(vars, records), path)
 
 
-def write_report_csv(reports: Iterable[CategoryReport], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "n", "mean_opt", "median_opt", "mean_full", "median_full"])
-        for r in reports:
-            writer.writerow(
-                [r.category, r.n_tests, f"{r.mean_opt:.4f}", f"{r.median_opt:.4f}",
-                 f"{r.mean_full:.4f}", f"{r.median_full:.4f}"]
-            )
+def write_report_csv(reports: Iterable[CategoryReport], path: str | Path) -> str:
+    """One CSV row per category, CRLF line ends; returns the sha256 hex digest."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["category", "n", "mean_opt", "median_opt", "mean_full", "median_full"])
+    for r in reports:
+        writer.writerow(
+            [r.category, r.n_tests, f"{r.mean_opt:.4f}", f"{r.median_opt:.4f}",
+             f"{r.mean_full:.4f}", f"{r.median_full:.4f}"]
+        )
+    return write_lines([text.getvalue().encode("utf-8")], path)
 
 
-def score_to_files(tests, records_path: str | Path, report_path: str | Path, **options) -> list[CategoryReport]:
+def score_to_files(
+    tests, records_path: str | Path, report_path: str | Path, **options
+) -> tuple[list[CategoryReport], str, str]:
     """evaluate(tests, **options), written as records JSONL and per-category
-    CSV; returns the per-category reports."""
+    CSV; returns the per-category reports and the sha256 hex digests of the
+    two files."""
     records = evaluate(tests, **options)
-    write_records(records, records_path)
+    records_digest = write_records(records, records_path)
     reports = aggregate_report(records)
-    write_report_csv(reports, report_path)
-    return reports
+    return reports, records_digest, write_report_csv(reports, report_path)
 
 
 def read_tests_jsonl(path: str | Path) -> list[tuple[str, str, str, str]]:

@@ -350,8 +350,8 @@ class LeakageReport:
         return not self.findings
 
 
-def write_leakage_report(report: LeakageReport, path: str | Path) -> None:
-    write_jsonl(map(vars, report.findings), path)
+def write_leakage_report(report: LeakageReport, path: str | Path) -> str:
+    return write_jsonl(map(vars, report.findings), path)
 
 
 def _normalized(text: str, eot_token: str | None) -> str:
@@ -443,33 +443,27 @@ _PAIR_ROW = (
 )
 
 
-class FilePairs(NamedTuple):
-    """One file's pairs, in order, with the content they were cut from."""
-
-    content: bytes
-    pairs: list[CompletionPair]
-
-
-def _pair_rows(files: Iterable[FilePairs]) -> Iterator[bytes]:
-    for content, pairs in files:
-        escaped = EscapedUTF8(content)
-        for p in pairs:
-            yield _PAIR_ROW % (
-                json_field(p.category), json_field(p.eot_token), json_field(p.file_id), json_field(p.kind),
-                escaped.slice(p.part, p.label_end) + json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
-                escaped.slice(p.query_start, p.part), p.scope_start_byte, p.start_shift_bytes,
-            )
+def _pair_rows(pairs: Iterable[CompletionPair]) -> Iterator[bytes]:
+    content = escaped = None
+    for p in pairs:
+        if p.content is not content:
+            content, escaped = p.content, EscapedUTF8(p.content)
+        yield _PAIR_ROW % (
+            json_field(p.category), json_field(p.eot_token), json_field(p.file_id), json_field(p.kind),
+            escaped.slice(p.part, p.label_end) + json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
+            escaped.slice(p.query_start, p.part), p.scope_start_byte, p.start_shift_bytes,
+        )
 
 
-def write_pairs(files: Iterable[FilePairs], path: str | Path) -> str:
-    """Write each file's pairs as JSONL rows, keys sorted as write_jsonl
-    sorts them; returns the sha256 hex digest of the file.
+def write_pairs(pairs: Iterable[CompletionPair], path: str | Path) -> str:
+    """Write the pairs as JSONL rows, keys sorted as write_jsonl sorts them;
+    returns the sha256 hex digest of the file.
 
-    Each file's content is escaped once, and each of its pairs' query and
-    label (the eot token aside) is written as a slice of that: the pairs
-    must have been cut from that content.
+    Each content is escaped once for the run of pairs that hold it, and each
+    pair's query and label (the eot token aside) is written as a slice of
+    that.
     """
-    return write_lines(_pair_rows(files), path)
+    return write_lines(_pair_rows(pairs), path)
 
 
 def pairs_from_rows(rows: Iterable[dict], where: str = "") -> list[CompletionPair]:

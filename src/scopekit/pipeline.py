@@ -23,12 +23,11 @@ from . import client, metrics, ragindex
 from .config import PipelineConfig, sweep_points
 from .errors import InvalidConfigError, StageError
 from .ingest import IngestManifest, ingest_repository, write_manifest
+from .jsonl import write_lines
 from .pairs import (
     CompletionPair,
-    FilePairs,
     PairKind,
     apply_filters,
-    count_pairs,
     dataset_card,
     exclude_holdout,
     leakage_scan,
@@ -82,13 +81,14 @@ class _Runner:
         self.written: dict[Path, str] = {}  # sha256 of each output written so far
 
     @contextmanager
-    def stage(self, name: str, inputs: dict[str, Path], outputs: list[Path]):
-        """Record the with block as one stage: input hashes on entry (an input
-        an earlier stage wrote keeps the hash taken when written), output
-        hashes on normal exit. The block gets a dict to put the hash of an
-        output it hashed while writing; other outputs are read back to hash.
-        On an exception the stage stays failed, the manifest is written and
-        the error is re-raised as StageError."""
+    def stage(self, name: str, inputs: dict[str, Path]):
+        """Record the with block as one stage: input hashes on entry, output
+        hashes on normal exit. The block puts each output it writes in the
+        dict it gets, with the sha256 its writer returned, so no output is
+        read back: an input an earlier stage wrote keeps that hash, and only
+        an input the run did not write is read to hash it. On an exception
+        the stage stays failed, the manifest is written and the error is
+        re-raised as StageError."""
         rec = StageRecord(
             stage=name,
             status="failed",
@@ -101,8 +101,8 @@ class _Runner:
         except Exception as exc:
             self.write_manifest()
             raise StageError(name, exc) from exc
-        self.written.update((p, hashed.get(p) or _sha256_file(p)) for p in outputs)
-        rec.outputs = {str(p.relative_to(self.out_dir)): self.written[p] for p in outputs}
+        self.written.update(hashed)
+        rec.outputs = {str(p.relative_to(self.out_dir)): digest for p, digest in hashed.items()}
         rec.status = "complete"
 
     def write_manifest(self) -> Path:
@@ -133,14 +133,15 @@ def extract_all_scopes(
 
 def split_pairs(
     candidates: list[ScopeCandidate], manifest: IngestManifest, config: PipelineConfig
-) -> tuple[Iterator[FilePairs], Iterator[FilePairs]]:
+) -> tuple[Iterator[CompletionPair], Iterator[CompletionPair]]:
     """The config's pairs as (train, held) streams: held pairs come from
     holdout files.
 
     Filtering and the holdout split happen on the call. Each stream walks
     its files in file_id order and builds a file's pairs, sorted by
     pairs_sort_key, only when it reaches that file; as the sort key starts
-    with file_id, a stream gives its pairs in pairs_sort_key order.
+    with file_id, a stream gives its pairs in pairs_sort_key order, and the
+    pairs of one file, which share its content, one after another.
     """
     records = manifest.record_by_id()
     by_file: dict[str, list[ScopeCandidate]] = {}
@@ -152,7 +153,7 @@ def split_pairs(
     train_ids = {r.file_id for r in train}
     filters, eot, closer = config.filters, config.eot_token, config.include_closing_delimiter
 
-    def stream(recs) -> Iterator[FilePairs]:
+    def stream(recs) -> Iterator[CompletionPair]:
         for rec in recs:
             pairs: list[CompletionPair] = []
             for cand in by_file[rec.file_id]:
@@ -160,8 +161,7 @@ def split_pairs(
                 pairs += make_random_start_pairs(
                     cand, rec.content, filters, eot, k=config.random_starts, seed=config.seed, include_closer=closer
                 )
-            pairs.sort(key=pairs_sort_key)
-            yield FilePairs(rec.content, pairs)
+            yield from sorted(pairs, key=pairs_sort_key)
 
     return stream(train), stream(r for r in files if r.file_id not in train_ids)
 
@@ -174,7 +174,7 @@ def _stage_scopes(runner: _Runner, config: PipelineConfig) -> _Scoped:
     out = runner.out_dir
     manifest_path, scopes_path = out / "ingest" / "manifest.jsonl", out / "scopes.jsonl"
 
-    with runner.stage("ingest", {}, [manifest_path]) as hashed:
+    with runner.stage("ingest", {}) as hashed:
         manifest = ingest_repository(
             config.repo_root,
             set(config.languages),
@@ -183,17 +183,18 @@ def _stage_scopes(runner: _Runner, config: PipelineConfig) -> _Scoped:
         )
         _, hashed[manifest_path] = write_manifest(manifest, out / "ingest")
 
-    with runner.stage("scopes", {"manifest": manifest_path}, [scopes_path]) as hashed:
+    with runner.stage("scopes", {"manifest": manifest_path}) as hashed:
         candidates = extract_all_scopes(manifest, config.logging_patterns)
         hashed[scopes_path] = write_scopes(candidates, scopes_path)
     return candidates, manifest
 
 
-def counted(files: Iterable[FilePairs], counts: Counter) -> Iterator[FilePairs]:
-    """``files`` passed through, their count_pairs added to ``counts`` as each goes by."""
-    for f in files:
-        counts.update(count_pairs(f.pairs))
-        yield f
+def counted(pairs: Iterable[CompletionPair], counts: Counter) -> Iterator[CompletionPair]:
+    """``pairs`` passed through, each counted in ``counts`` by (category,
+    kind), as count_pairs counts, as it goes by."""
+    for p in pairs:
+        counts[p.category, p.kind] += 1
+        yield p
 
 
 def _stage_pairs(
@@ -205,26 +206,25 @@ def _stage_pairs(
     Each pair is written once: to train_pairs.jsonl, or to
     holdout_pairs.jsonl when its file is held out (empty without a holdout).
     Without ``keep`` the pairs stream: one file's pairs are built, written
-    and dropped before the next file's.
+    and dropped before the next file's. With it, the lists are the ones
+    written, in the order written.
     """
     train_path, held_path = out / "train_pairs.jsonl", out / "holdout_pairs.jsonl"
     counts: Counter = Counter()
-    with runner.stage("pairs", {"scopes": runner.out_dir / "scopes.jsonl"}, [train_path, held_path]) as hashed:
+    with runner.stage("pairs", {"scopes": runner.out_dir / "scopes.jsonl"}) as hashed:
         train, held = split_pairs(*scoped, config)
         if keep:
             train, held = list(train), list(held)
         hashed[train_path] = write_pairs(counted(train, counts), train_path)
         hashed[held_path] = write_pairs(held, held_path)
-    if not keep:
-        return counts, [], []
-    return counts, [p for f in train for p in f.pairs], [p for f in held for p in f.pairs]
+    return (counts, train, held) if keep else (counts, [], [])
 
 
 def _run_ft_export(runner: _Runner, config: PipelineConfig, scoped: _Scoped, out: Path) -> dict:
     """The pairs and ft_export stages into ``out``; returns the dataset card."""
     counts, _, _ = _stage_pairs(runner, config, scoped, out)
     card_path = out / "dataset_card.json"
-    with runner.stage("ft_export", {"pairs": out / "train_pairs.jsonl"}, [card_path]):
+    with runner.stage("ft_export", {"pairs": out / "train_pairs.jsonl"}) as hashed:
         card = dataset_card(
             counts,
             config.filters,
@@ -236,7 +236,8 @@ def _run_ft_export(runner: _Runner, config: PipelineConfig, scoped: _Scoped, out
                 "repo_root": str(config.repo_root),
             },
         )
-        card_path.write_text(json.dumps(card, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        text = json.dumps(card, indent=2, sort_keys=True) + "\n"
+        hashed[card_path] = write_lines([text.encode("utf-8")], card_path)
     return card
 
 
@@ -251,25 +252,24 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
     train_path, held_path, index_path = (
         out / "train_pairs.jsonl", out / "holdout_pairs.jsonl", out / "train.index"
     )
-    with runner.stage("index", {"pairs": train_path}, [index_path]):
+    with runner.stage("index", {"pairs": train_path}) as hashed:
         tests = [p for p in held if p.kind is PairKind.PRIMARY]
         if not tests:
             raise ValueError("holdout files produced no test pairs")
         index = ragindex.index_build(train, embedder)
-        index.save(index_path)
+        hashed[index_path] = index.save(index_path)
 
     leak_path = out / "leakage_report.jsonl"
-    with runner.stage("leak_scan", {"train": train_path, "tests": held_path}, [leak_path]):
+    with runner.stage("leak_scan", {"train": train_path, "tests": held_path}) as hashed:
         report = leakage_scan(train, [(p.pair_id, p.label) for p in tests], config.eot_token)
-        write_leakage_report(report, leak_path)
+        hashed[leak_path] = write_leakage_report(report, leak_path)
         if report.findings:
             logger.warning("leakage scan found %d finding(s)", len(report.findings))
 
     predictions_path, records_path, report_path = (
         out / "predictions.jsonl", out / "eval_records.jsonl", out / "report.csv"
     )
-    rag_inputs = {"index": index_path, "tests": held_path}
-    with runner.stage("rag_eval", rag_inputs, [predictions_path, records_path, report_path]):
+    with runner.stage("rag_eval", {"index": index_path, "tests": held_path}) as hashed:
         query_vecs = embedder.embed_texts([p.query_span for p in tests])
         neighbors = ragindex.knn_search_many(index, query_vecs, config.n_neighbors)
         prompts = [
@@ -283,7 +283,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
             timeout=config.gen_timeout_s,
         )
         outcomes = client.batch_predict(config.generate_endpoint, prompts, template)
-        client.write_predictions(outcomes, predictions_path)
+        hashed[predictions_path] = client.write_predictions(outcomes, predictions_path)
         by_id = {p.pair_id: p for p in tests}
         evals = []
         for o in outcomes:
@@ -291,7 +291,7 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
                 continue
             pair = by_id[o.test_id]
             evals.append((o.test_id, pair.category.value, o.result.text, pair.label_without_eot()))
-        metrics.score_to_files(evals, records_path, report_path)
+        _, hashed[records_path], hashed[report_path] = metrics.score_to_files(evals, records_path, report_path)
 
 
 def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
@@ -300,8 +300,9 @@ def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
         raise InvalidConfigError(["eval_only requires predictions_path pointing at a JSONL file"])
     records_path = runner.out_dir / "eval_records.jsonl"
     report_path = runner.out_dir / "report.csv"
-    with runner.stage("eval_only", {"predictions": Path(src)}, [records_path, report_path]):
-        metrics.score_to_files(metrics.read_tests_jsonl(src), records_path, report_path)
+    with runner.stage("eval_only", {"predictions": Path(src)}) as hashed:
+        tests = metrics.read_tests_jsonl(src)
+        _, hashed[records_path], hashed[report_path] = metrics.score_to_files(tests, records_path, report_path)
 
 
 def run_pipeline(config: PipelineConfig, mode: Mode) -> RunResult:

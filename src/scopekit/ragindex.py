@@ -30,6 +30,7 @@ from .errors import (
     InvalidConfigError,
     MalformedResponseError,
 )
+from .jsonl import write_lines
 from .pairs import CompletionPair, PairKind, Span, merged_runs
 
 logger = logging.getLogger(__name__)
@@ -39,6 +40,9 @@ _NGRAM_SIZES = (3, 4)  # HashingEmbedder's; part of its embedder_id, so of every
 _MAX_RUN_BYTES = 1 << 16  # HashingEmbedder's: a run's hashing temporaries stay cache-sized
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # RemoteEmbedder's bound on a vector entry
+_EMBED_BATCH_SIZE = 64  # RemoteEmbedder's texts per request
+_EMBED_MAX_IN_FLIGHT = 8  # RemoteEmbedder's concurrent requests
+_EMBED_TIMEOUT_S = 60.0  # RemoteEmbedder's per-request timeout
 
 _MAGIC = b"SCOPEIDX"
 _VERSION = 1
@@ -154,20 +158,9 @@ class RemoteEmbedder:
     finite numbers raises MalformedResponseError.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        dimension: int = DEFAULT_DIMENSION,
-        *,
-        batch_size: int = 64,
-        max_in_flight: int = 8,
-        timeout: float = 60.0,
-    ):
+    def __init__(self, endpoint: str, dimension: int = DEFAULT_DIMENSION):
         self.endpoint = endpoint if endpoint.rstrip("/").endswith("/embed") else endpoint.rstrip("/") + "/embed"
         self.dimension = dimension
-        self.batch_size = batch_size
-        self.max_in_flight = max_in_flight
-        self.timeout = timeout
 
     @property
     def embedder_id(self) -> str:
@@ -175,7 +168,7 @@ class RemoteEmbedder:
 
     def _embed_batch(self, batch: list[str]) -> np.ndarray:
         try:
-            status, data = post_json(self.endpoint, {"texts": batch}, self.timeout)
+            status, data = post_json(self.endpoint, {"texts": batch}, _EMBED_TIMEOUT_S)
         except (TimeoutError, ConnectionError) as exc:
             raise EmbeddingServiceUnavailableError(f"embed call failed: {exc}") from exc
         if status != 200:
@@ -208,8 +201,8 @@ class RemoteEmbedder:
         if not texts:
             return np.zeros((0, self.dimension), dtype=np.float32)
         texts = [text.text() if isinstance(text, Span) else text for text in texts]
-        batches = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
-        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
+        batches = [texts[i : i + _EMBED_BATCH_SIZE] for i in range(0, len(texts), _EMBED_BATCH_SIZE)]
+        with ThreadPoolExecutor(max_workers=_EMBED_MAX_IN_FLIGHT) as pool:
             parts = list(pool.map(self._embed_batch, batches))
         return np.concatenate(parts, axis=0)
 
@@ -221,6 +214,12 @@ def make_embedder(spec: str, dimension: int = DEFAULT_DIMENSION):
     if spec.startswith("remote:"):
         return RemoteEmbedder(spec[len("remote:") :], dimension)
     raise InvalidConfigError([f"rag.embedder must be 'builtin' or 'remote:<url>', got {spec!r}"])
+
+
+def _sized(text: str) -> bytes:
+    """``text`` as UTF-8 after its byte length (uint32, little-endian)."""
+    data = text.encode("utf-8")
+    return struct.pack("<I", len(data)) + data
 
 
 @dataclass
@@ -248,23 +247,16 @@ class VectorIndex:
     def value_for(self, pair_id: str) -> str:
         return self._value_by_id[pair_id]
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path) -> str:
         """Binary layout: magic, version, dim, count, embedder_id, then the
         float32 key matrix row-major little-endian, then length-prefixed
-        UTF-8 pair_ids and values. Same entries in, same bytes out."""
-        with open(path, "wb") as fh:
-            eid = self.embedder_id.encode("utf-8")
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IIQI", _VERSION, self.dimension, len(self.pair_ids), len(eid)))
-            fh.write(eid)
-            fh.write(np.ascontiguousarray(self.keys, dtype="<f4").tobytes())
-            for pid, value in zip(self.pair_ids, self.values):
-                pb = pid.encode("utf-8")
-                vb = value.encode("utf-8")
-                fh.write(struct.pack("<I", len(pb)))
-                fh.write(pb)
-                fh.write(struct.pack("<I", len(vb)))
-                fh.write(vb)
+        UTF-8 pair_ids and values. Same entries in, same bytes out; returns
+        their sha256 hex digest."""
+        eid = self.embedder_id.encode("utf-8")
+        head = _MAGIC + struct.pack("<IIQI", _VERSION, self.dimension, len(self.pair_ids), len(eid)) + eid
+        keys = np.ascontiguousarray(self.keys, dtype="<f4").tobytes()
+        entries = (_sized(pid) + _sized(value) for pid, value in zip(self.pair_ids, self.values))
+        return write_lines(itertools.chain((head, keys), entries), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":

@@ -300,7 +300,7 @@ def test_index_build_and_leak_scan_agree_with_rag_eval(tmp_path, stub_service):
     manifest = ingest_repository(corpus, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
     train, _ = split_pairs(extract_all_scopes(manifest), manifest, cfg)
     tests = [(d["pair_id"], d["label"]) for d in map(json.loads, held_labels + train_labels)]
-    report = leakage_scan([p for f in train for p in f.pairs], tests, cfg.eot_token)
+    report = leakage_scan(train, tests, cfg.eot_token)
     write_leakage_report(report, tmp_path / "want.jsonl")
     assert len((tmp_path / "want.jsonl").read_text().splitlines()) == 895
     assert (tmp_path / "all_leaks.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()

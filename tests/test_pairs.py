@@ -16,7 +16,6 @@ from scopekit.errors import InvalidConfigError
 from scopekit.ingest import ingest_repository
 from scopekit.pairs import (
     DEFAULT_EOT_TOKEN,
-    FilePairs,
     MATCH_EXACT_LABEL,
     MATCH_SUBSTRING,
     CompletionPair,
@@ -37,7 +36,7 @@ from scopekit.pairs import (
     write_leakage_report,
     write_pairs,
 )
-from scopekit.pipeline import extract_all_scopes, split_pairs
+from scopekit.pipeline import Mode, extract_all_scopes, run_pipeline, split_pairs
 from scopekit.scopes import ScopeCandidate, ScopeCategory, extract_scopes
 
 LOOSE = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0)
@@ -438,8 +437,8 @@ def test_fixture_corpus_leakage_report_golden_hash(tmp_path):
     )
     manifest = ingest_repository(corpus, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
     train, held = split_pairs(extract_all_scopes(manifest), manifest, cfg)
-    train = [p for f in train for p in f.pairs]
-    tests = [(p.pair_id, p.label) for f in held for p in f.pairs if p.kind is PairKind.PRIMARY]
+    train = list(train)
+    tests = [(p.pair_id, p.label) for p in held if p.kind is PairKind.PRIMARY]
     train_labels = [(p.pair_id, p.label) for p in train if p.kind is PairKind.PRIMARY]
     digests = []
     for name, labels in (("held", tests), ("train", tests + train_labels)):
@@ -458,13 +457,29 @@ def test_fixture_corpus_leakage_report_golden_hash(tmp_path):
 
 def test_write_read_roundtrip(tmp_path):
     pa, pb = two_pairs()
-    files = [FilePairs(b"..{aaaa}", [pa]), FilePairs(b"..{bbbb}", [pb])]
     path = tmp_path / "pairs.jsonl"
-    write_pairs(files, path)
+    write_pairs([pa, pb], path)
     assert [row(p) for p in read_pairs(path)] == [row(pa), row(pb)]
     raw = path.read_bytes()
-    write_pairs(files, path)
+    write_pairs([pa, pb], path)
     assert path.read_bytes() == raw  # byte-identical rewrite
+    # pairs read back hold the bytes their rows cover, not their files, and
+    # are written back to the same bytes
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    cfg = PipelineConfig(
+        repo_root=corpus,
+        output_dir=tmp_path / "out",
+        random_starts=2,
+        seed=1,
+        holdout_paths=("checksum.c", "geometry.hpp", "tracer.cpp"),
+    )
+    result = run_pipeline(cfg, Mode.FT_EXPORT)
+    recorded = {rel: digest for s in result.stages for rel, digest in s.outputs.items()}
+    for name in ("train_pairs.jsonl", "holdout_pairs.jsonl"):
+        again = tmp_path / f"again_{name}"
+        digest = write_pairs(read_pairs(result.out_dir / name), again)
+        assert again.read_bytes() == (result.out_dir / name).read_bytes(), name
+        assert digest == recorded[name] == hashlib.sha256(again.read_bytes()).hexdigest(), name
 
 
 def test_read_pairs_share_the_bytes_their_rows_agree_on(tmp_path):
@@ -478,7 +493,7 @@ def test_read_pairs_share_the_bytes_their_rows_agree_on(tmp_path):
     pairs = [make_primary_pair(c, content, cfg) for c in cands]
     pairs += make_random_start_pairs(cands[0], content, cfg, k=3, seed=2)
     path = tmp_path / "pairs.jsonl"
-    write_pairs([FilePairs(content, pairs)], path)
+    write_pairs(pairs, path)
     read = read_pairs(path)
     assert [row(p) for p in read] == [row(p) for p in pairs]
     assert len({id(p.content) for p in read}) == 1
@@ -501,7 +516,7 @@ def test_written_json_is_sorted_and_unicode(tmp_path):
     content = "..{café!!}".encode()
     p = make_primary_pair(candidate(content, 3, 9), content, LOOSE)
     path = tmp_path / "pairs.jsonl"
-    write_pairs([FilePairs(content, [p])], path)
+    write_pairs([p], path)
     line = path.read_text(encoding="utf-8").splitlines()[0]
     d = json.loads(line)
     assert list(d) == sorted(d)
@@ -528,18 +543,16 @@ def test_pair_writer_matches_json_dumps(tmp_path, files, max_prefix, eot_token, 
     """Rows cut from each file's escaped content are the bytes json.dumps
     gives the row of each pair's public fields."""
     cfg = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0, max_prefix_bytes=max_prefix)
-    groups = []
+    pairs = []
     for i, (prefix, body, suffix) in enumerate(files):
         content = f"{prefix}{{{body}}}{suffix}".encode()
         start = len(prefix.encode()) + 1
         cand = candidate(content, start, start + len(body.encode()), file_id=f"{i}\"\\{i}", category=category)
-        pairs = [make_primary_pair(cand, content, cfg, eot_token)]
+        pairs.append(make_primary_pair(cand, content, cfg, eot_token))
         pairs += make_random_start_pairs(cand, content, cfg, eot_token, k=3, seed=i)
-        groups.append(FilePairs(content, pairs))
-    pairs = [p for g in groups for p in g.pairs]
     oracle = "".join(json.dumps(row(p), sort_keys=True, ensure_ascii=False) + "\n" for p in pairs).encode()
     path = tmp_path / "pairs.jsonl"
-    digest = write_pairs(groups, path)
+    digest = write_pairs(pairs, path)
     assert path.read_bytes() == oracle
     assert digest == hashlib.sha256(oracle).hexdigest()
 

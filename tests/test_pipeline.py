@@ -157,7 +157,9 @@ def test_ft_export_streams_pairs(tmp_path):
     assert peak < size / 2
 
 
-def test_jsonl_outputs_hashed_while_written(tmp_path, monkeypatch):
+def test_jsonl_outputs_hashed_while_written(tmp_path, monkeypatch, stub_service):
+    """Every writer returns the sha256 of what it wrote, so no run reads an
+    output back to hash it; EVAL_ONLY reads only its predictions input."""
     import scopekit.pipeline
 
     read_back = []
@@ -168,15 +170,33 @@ def test_jsonl_outputs_hashed_while_written(tmp_path, monkeypatch):
         return real_sha256_file(path)
 
     monkeypatch.setattr(scopekit.pipeline, "_sha256_file", recording_sha256_file)
-    out = run_pipeline(base_config(tmp_path, holdout_paths=("src/mod_1.c",)), Mode.FT_EXPORT).out_dir
-    assert read_back == ["dataset_card.json"]
-    stages = json.loads((out / "run_manifest.json").read_text())["stages"]
-    outputs = {rel: digest for s in stages for rel, digest in s["outputs"].items()}
-    assert {"ingest/manifest.jsonl", "scopes.jsonl", "train_pairs.jsonl", "holdout_pairs.jsonl"} <= set(outputs)
-    for rel, digest in outputs.items():
-        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
-    for s in stages:  # every input is an earlier stage's output, under the hash recorded for it
-        assert set(s["inputs"].values()) <= set(outputs.values()), s["stage"]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"test_id": "a", "prediction": "x = 1;", "ground_truth": "x = 1;"}) + "\n")
+    ft = base_config(tmp_path / "ft", holdout_paths=("src/mod_1.c",))
+    rag = base_config(tmp_path / "rag", holdout_paths=("src/mod_1.c",), generate_endpoint=stub_service.generate_url)
+    eval_only = PipelineConfig(repo_root=tmp_path, output_dir=tmp_path / "eval", predictions_path=preds)
+    pairs_outputs = {"ingest/manifest.jsonl", "scopes.jsonl", "train_pairs.jsonl", "holdout_pairs.jsonl"}
+    eval_outputs = {"eval_records.jsonl", "report.csv"}
+    rag_outputs = pairs_outputs | eval_outputs | {"train.index", "leakage_report.jsonl", "predictions.jsonl"}
+    runs = [
+        (Mode.FT_EXPORT, ft, pairs_outputs | {"dataset_card.json"}, []),
+        (Mode.RAG_EVAL, rag, rag_outputs, []),
+        (Mode.EVAL_ONLY, eval_only, eval_outputs, ["preds.jsonl"]),
+    ]
+    for mode, cfg, names, reads in runs:
+        read_back.clear()
+        out = run_pipeline(cfg, mode).out_dir
+        assert read_back == reads, mode
+        stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+        outputs = {rel: digest for s in stages for rel, digest in s["outputs"].items()}
+        assert set(outputs) == names, mode
+        for rel, digest in outputs.items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, (mode, rel)
+        for s in stages:  # an input an earlier stage wrote is under the hash recorded for it
+            written = {k: v for k, v in s["inputs"].items() if k != "predictions"}
+            assert set(written.values()) <= set(outputs.values()), (mode, s["stage"])
+    # EVAL_ONLY, the last run, records the predictions file it read
+    assert stages[0]["inputs"] == {"predictions": hashlib.sha256(preds.read_bytes()).hexdigest()}
 
 
 def test_run_manifest_hashes_recompute(tmp_path):

@@ -248,8 +248,10 @@ def test_remote_embedder_roundtrip(stub_service):
     assert np.array_equal(out[0], emb.embed("hello"))
 
 
-def test_remote_embedder_batches_preserve_order(stub_service):
-    emb = RemoteEmbedder(stub_service.base_url, dimension=8, batch_size=2, max_in_flight=3)
+def test_remote_embedder_batches_preserve_order(stub_service, monkeypatch):
+    monkeypatch.setattr(ragindex, "_EMBED_BATCH_SIZE", 2)
+    monkeypatch.setattr(ragindex, "_EMBED_MAX_IN_FLIGHT", 3)
+    emb = RemoteEmbedder(stub_service.base_url, dimension=8)
     texts = [f"text number {i}" for i in range(9)]
     out = emb.embed_texts(texts)
     one_by_one = np.stack([emb.embed(t) for t in texts])
