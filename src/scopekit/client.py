@@ -117,8 +117,10 @@ def complete(
     """One generation call with idempotent retries on transport failures.
 
     Retries cover connection errors, timeouts, and 5xx; a 4xx fails
-    immediately. Timeouts surface as GenerationTimeoutError with no partial
-    text. Latency is the wall-clock of the successful attempt.
+    immediately, and so does an answer whose "text" is no string of valid
+    Unicode (MalformedResponseError). Timeouts surface as
+    GenerationTimeoutError with no partial text. Latency is the wall-clock
+    of the successful attempt.
     """
     payload = {
         "prompt": request.prompt,
@@ -151,6 +153,10 @@ def complete(
                     raise MalformedResponseError(f"bad generate response: {exc}") from exc
                 if not isinstance(text, str):
                     raise MalformedResponseError("generate response 'text' is not a string")
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate escape, which no UTF-8 output can hold
+                    raise MalformedResponseError("generate response 'text' holds a lone surrogate") from None
                 text, truncated = _truncate_at_stop(text, request.stop_sequences)
                 if truncated:
                     reason = StopReason.STOP_SEQUENCE

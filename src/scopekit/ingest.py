@@ -216,9 +216,10 @@ def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
         p = p / MANIFEST_NAME
     objects = p.parent / OBJECTS_DIR
     rows = read_jsonl(p, _FILE_ROW, optional=("lossy_decoded",), header=_HEADER_ROW)
-    if not rows:
+    header = next(rows, None)
+    if header is None:
         raise ValueError(f"{p}: empty manifest, expected a header line")
-    header, *file_rows = rows
+    file_rows = list(rows)
     # one read per distinct content; records with the same file_id share its bytes
     contents = {fid: (objects / fid).read_bytes() for fid in {d["file_id"] for d in file_rows}}
     for fid, content in contents.items():

@@ -15,7 +15,7 @@ import json
 import re
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 # A str as a JSON string, quotes included; the C escaper json.dumps uses with
 # ensure_ascii=False, so non-ASCII text stays raw.
@@ -99,8 +99,8 @@ def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collecti
 
 def read_jsonl(
     path: str | Path, schema: Mapping[str, type | tuple] = {}, *, optional: Collection = (), one_of=(), header=None
-) -> list[dict]:
-    """The objects of a JSONL file, skipping blank lines.
+) -> Iterator[dict]:
+    """The objects of a JSONL file, skipping blank lines, yielded as read.
 
     ``schema`` maps a key to its class, a tuple of classes, or an Enum class
     (the value is converted to its member); a bool is no int. Each row
@@ -110,7 +110,7 @@ def read_jsonl(
     ValueError naming ``path:line`` for invalid JSON, a row that is not an
     object, a missing key or a value of the wrong type.
     """
-    rows = []
+    checks = (header, (), ()) if header is not None else (schema, optional, one_of)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -121,9 +121,6 @@ def read_jsonl(
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
-            if header is not None and not rows:
-                _check_row(row, header, (), (), f"{path}:{lineno}")
-            else:
-                _check_row(row, schema, optional, one_of, f"{path}:{lineno}")
-            rows.append(row)
-    return rows
+            _check_row(row, *checks, f"{path}:{lineno}")
+            checks = (schema, optional, one_of)
+            yield row

@@ -83,34 +83,29 @@ class Span(NamedTuple):
     stop: int
 
     def text(self) -> str:
-        # surrogatepass: a lone surrogate read from JSONL round-trips as its 3 bytes
-        return self.content[self.start : self.stop].decode("utf-8", "surrogatepass")
+        return self.content[self.start : self.stop].decode("utf-8")
 
 
 def merged_runs(spans: Sequence[Span], max_bytes: int | None = None) -> Iterator[tuple[Span, list[int]]]:
-    """The spans as runs of overlapping spans of equal contents: (the run,
-    the indices of its spans, by start). A span joins the run before it
-    when it starts inside it and the run stays within ``max_bytes``; a
-    longer span is a run of its own. Contents are compared by value, so a
-    name can stand for one; they come in the order first seen, each one's
-    runs by offset. Empty spans are left out."""
-    by_content: dict[bytes, list[int]] = {}
+    """The spans as runs of consecutive spans: (the run, the indices of its
+    spans). A span joins the run before it when it holds the same content
+    object, starts inside the run and keeps it within ``max_bytes``. Spans
+    in file order, as split_pairs and read_pairs give them, merge the
+    most. Empty spans are left out."""
+    content, start, stop, run = None, 0, 0, []
     for i, span in enumerate(spans):
-        if span.stop > span.start:
-            by_content.setdefault(span.content, []).append(i)
-    for content, members in by_content.items():
-        members.sort(key=lambda i: spans[i].start)
-        start = stop = 0
-        run: list[int] = []
-        for i in members:
-            span = spans[i]
-            if run and span.start < stop and (max_bytes is None or max(stop, span.stop) - start <= max_bytes):
-                stop = max(stop, span.stop)
-                run.append(i)
-                continue
-            if run:
-                yield Span(content, start, stop), run
-            start, stop, run = span.start, span.stop, [i]
+        if span.stop <= span.start:
+            continue
+        if span.content is content and start <= span.start < stop and (
+            max_bytes is None or max(stop, span.stop) - start <= max_bytes
+        ):
+            stop = max(stop, span.stop)
+            run.append(i)
+            continue
+        if run:
+            yield Span(content, start, stop), run
+        content, start, stop, run = span.content, span.start, span.stop, [i]
+    if run:
         yield Span(content, start, stop), run
 
 
@@ -280,8 +275,9 @@ def make_random_start_pairs(
 
     Shifts are drawn uniformly from {1..size-1} by a generator derived from
     (seed, file_id, scope_start_byte), so output is reproducible regardless
-    of processing order. Duplicate shifts are dropped, so fewer than k pairs
-    may come back; scopes under 2 bytes yield none.
+    of processing order. The pairs come by ascending shift; duplicate shifts
+    are dropped, so fewer than k pairs may come back; scopes under 2 bytes
+    yield none.
     """
     if k <= 0:
         return []
@@ -295,17 +291,11 @@ def make_random_start_pairs(
         )
         return []
     rng = _derived_rng(seed, candidate.file_id, candidate.start_byte)
-    shifts = []
-    seen = set()
-    for _ in range(k):
-        s = _snap_shift(content, candidate.start_byte, size, rng.randrange(1, size))
-        if s is None or s in seen:
-            continue
-        seen.add(s)
-        shifts.append(s)
+    shifts = {_snap_shift(content, candidate.start_byte, size, rng.randrange(1, size)) for _ in range(k)}
+    shifts.discard(None)
     return [
         _build_pair(candidate, content, cfg, eot_token, PairKind.RANDOM_START, s, include_closer)
-        for s in shifts
+        for s in sorted(shifts)
     ]
 
 
@@ -379,12 +369,13 @@ def leakage_scan(
     CRLF to LF on both sides. Findings come in test order, then train order.
 
     The haystack is the bytes the train pairs cover: each pair's query and
-    label body, a span of its content, merged with the spans that overlap
-    it into runs (merged_runs), each run followed by NUL. A pair whose span
-    holds a CR is a run of its own normalized query + label instead. Each
-    test label is one walk of the haystack: in each run it occurs in, every
-    pair of the run is checked at its own query and label offsets, and the
-    walk goes on at the next run.
+    label body, a span of its content, merged with the consecutive spans
+    that overlap it into runs (merged_runs), each run followed by NUL. A
+    pair whose span holds a CR is a run of its own normalized query + label
+    instead. Each test label is one walk of the haystack: in each run it
+    occurs in, every pair of the run is checked at its own query and label
+    offsets, and the walk goes on at the next run, so it meets the pairs in
+    train order. Pairs in file order give the shortest haystack.
     """
     train = list(train_pairs)
     spans, query_ends = [], []  # per pair: its query + label body, where its query ends
@@ -421,12 +412,8 @@ def leakage_scan(
                 elif haystack.find(needle, label_at, end) >= 0 or haystack.find(needle, query_at, label_at) >= 0:
                     hits.append((k, MATCH_SUBSTRING))
             i = haystack.find(needle, starts[r + 1]) if r + 1 < len(starts) else -1
-        report.findings += (LeakageFinding(test_id, train[k].pair_id, kind) for k, kind in sorted(hits))
+        report.findings += (LeakageFinding(test_id, train[k].pair_id, kind) for k, kind in hits)
     return report
-
-
-def pairs_sort_key(pair: CompletionPair):
-    return (pair.file_id, pair.scope_start_byte, pair.kind.value, pair.start_shift_bytes)
 
 
 # A pair's JSONL row: its public fields, str-enum fields as their value
@@ -471,42 +458,52 @@ def pairs_from_rows(rows: Iterable[dict], where: str = "") -> list[CompletionPai
 
     A row's query and label body are the bytes of its file from part -
     (query bytes) to part + (label body bytes), part = scope_start_byte +
-    start_shift_bytes. The rows of one file_id share one content where
-    their spans overlap and their bytes agree; a row that disagrees with
-    the rows before it gets its own. Raises ValueError, prefixed with
-    ``where``, for a row whose label does not end with its eot_token or
-    whose mask_len is not the query's length.
+    start_shift_bytes. One pass holds only the current run: consecutive
+    rows of one file_id, each starting inside the bytes of those before it.
+    They share one content where their bytes agree; a row that disagrees
+    gets its own. Raises ValueError, prefixed with ``where``, for a row
+    whose label does not end with its eot_token, whose mask_len is not the
+    query's length, or that holds a lone surrogate (no UTF-8 form).
     """
-    rows = list(rows)
-    texts, spans = [], []  # per row: (query + label body, query byte length), their span of the file
+    pairs: list[CompletionPair] = []
+    run: list[tuple] = []  # the current run's rows: (row, own content or None, offset, query bytes, bytes)
+    block = bytearray()  # the bytes the run's agreeing rows cover, from offset ``start`` of file ``file_id``
+    file_id, start = None, 0
+
+    def close_run() -> None:
+        content = bytes(block)
+        pairs.extend(
+            CompletionPair(
+                d["pair_id"], d["kind"], d["start_shift_bytes"], d["category"], d["file_id"], d["scope_start_byte"],
+                d["eot_token"], content if own is None else own, off, off + qlen, off + size,
+            )
+            for d, own, off, qlen, size in run
+        )
+
     for d in rows:
         label, eot = d["label"], d["eot_token"]
         if not label.endswith(eot):
             raise ValueError(f"{where}pair {d['pair_id']}: label does not end with its eot_token {eot!r}")
         if d["mask_len"] != len(d["query"]):
             raise ValueError(f"{where}pair {d['pair_id']}: mask_len {d['mask_len']} is not the query's length")
-        query = _utf8(d["query"])
-        texts.append((query + _utf8(label[: len(label) - len(eot)]), len(query)))
-        at = d["scope_start_byte"] + d["start_shift_bytes"] - len(query)
-        spans.append(Span(d["file_id"], at, at + len(texts[-1][0])))  # the file named, not held
-    homes = [(text, 0) for text, _ in texts]  # per row: its content, where its bytes start there
-    for run, members in merged_runs(spans):
-        block, agreed = bytearray(), []
-        for i in members:
-            text, off = texts[i][0], spans[i].start - run.start
-            if off <= len(block) and block[off : off + len(text)] == text[: len(block) - off]:
+        try:
+            query, body = d["query"].encode(), label[: len(label) - len(eot)].encode()
+            (d["pair_id"] + d["file_id"] + eot).encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"{where}pair {d['pair_id']}: holds a lone surrogate, which has no UTF-8 form") from None
+        text = query + body
+        off = d["scope_start_byte"] + d["start_shift_bytes"] - len(query) - start
+        if d["file_id"] == file_id and 0 <= off < len(block):
+            if block[off : off + len(text)] == text[: len(block) - off]:
                 block += text[len(block) - off :]
-                agreed.append((i, off))
-        content = bytes(block)
-        for i, off in agreed:
-            homes[i] = (content, off)
-    return [
-        CompletionPair(
-            d["pair_id"], d["kind"], d["start_shift_bytes"], d["category"], d["file_id"], d["scope_start_byte"],
-            d["eot_token"], content, off, off + qlen, off + len(text),
-        )
-        for d, (text, qlen), (content, off) in zip(rows, texts, homes)
-    ]
+                run.append((d, None, off, len(query), len(text)))
+            else:
+                run.append((d, text, 0, len(query), len(text)))
+            continue
+        close_run()
+        run, block, file_id, start = [(d, None, 0, len(query), len(text))], bytearray(text), d["file_id"], start + off
+    close_run()
+    return pairs
 
 
 def read_pairs(path: str | Path) -> list[CompletionPair]:

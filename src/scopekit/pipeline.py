@@ -33,7 +33,6 @@ from .pairs import (
     leakage_scan,
     make_primary_pair,
     make_random_start_pairs,
-    pairs_sort_key,
     write_leakage_report,
     write_pairs,
 )
@@ -138,10 +137,9 @@ def split_pairs(
     holdout files.
 
     Filtering and the holdout split happen on the call. Each stream walks
-    its files in file_id order and builds a file's pairs, sorted by
-    pairs_sort_key, only when it reaches that file; as the sort key starts
-    with file_id, a stream gives its pairs in pairs_sort_key order, and the
-    pairs of one file, which share its content, one after another.
+    its files in file_id order and builds each candidate's primary pair,
+    then its random starts, as it reaches them: the pairs come in file
+    order, (file_id, scope_start_byte, kind, start_shift_bytes).
     """
     records = manifest.record_by_id()
     by_file: dict[str, list[ScopeCandidate]] = {}
@@ -155,13 +153,11 @@ def split_pairs(
 
     def stream(recs) -> Iterator[CompletionPair]:
         for rec in recs:
-            pairs: list[CompletionPair] = []
             for cand in by_file[rec.file_id]:
-                pairs.append(make_primary_pair(cand, rec.content, filters, eot, include_closer=closer))
-                pairs += make_random_start_pairs(
+                yield make_primary_pair(cand, rec.content, filters, eot, include_closer=closer)
+                yield from make_random_start_pairs(
                     cand, rec.content, filters, eot, k=config.random_starts, seed=config.seed, include_closer=closer
                 )
-            yield from sorted(pairs, key=pairs_sort_key)
 
     return stream(train), stream(r for r in files if r.file_id not in train_ids)
 

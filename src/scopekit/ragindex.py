@@ -96,12 +96,12 @@ class HashingEmbedder:
     what the index contract needs.
 
     Texts may be given as Spans of a shared content, such as pair queries
-    in their file. The spans of one content that overlap are merged by
-    offset into runs of up to _MAX_RUN_BYTES, each run is hashed once, and
-    each span's vector is counted from its slice of the run's n-gram keys.
-    The counts are exact, so a vector does not depend on the spans around
-    it; they only decide how much hashing is shared. A str is a content of
-    its own.
+    in their file. Consecutive spans of one content that overlap are
+    merged into runs of up to _MAX_RUN_BYTES (merged_runs), each run is
+    hashed once, and each span's vector is counted from its slice of the
+    run's n-gram keys. The counts are exact, so a vector does not depend
+    on the spans around it; their order, file order at best, only decides
+    how much hashing is shared. A str is a content of its own.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):

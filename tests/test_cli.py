@@ -545,6 +545,11 @@ def _pairs_mask_len_not_query_length(tmp_path, repo):
     return argv, f"{pairs_file}: pair p: mask_len 4 is not the query's length"
 
 
+def _pairs_lone_surrogate(tmp_path, repo):
+    argv, pairs_file = _pairs_row_argv(tmp_path, label="return 1;\ud800}<|endoftext|>")
+    return argv, f"{pairs_file}: pair p: holds a lone surrogate"
+
+
 def _scopes_bogus_category(tmp_path, repo):
     run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
     row = {"file_id": "f", "category": "bogus", "start_byte": 0, "end_byte": 1, "depth": 0,
@@ -629,6 +634,7 @@ def _empty_manifest(tmp_path, repo):
         _pairs_bogus_kind,
         _pairs_label_without_eot,
         _pairs_mask_len_not_query_length,
+        _pairs_lone_surrogate,
         _scopes_bogus_category,
         _manifest_bad_byte_len,
         _scope_past_file_end,

@@ -19,6 +19,7 @@ from scopekit.client import (
     StopReason,
     batch_predict,
     complete,
+    write_predictions,
 )
 from scopekit.errors import (
     EndpointUnavailableError,
@@ -199,6 +200,25 @@ def test_malformed_json_and_missing_text():
             complete(url2, GenerationRequest(prompt="p"), retries=0)
     finally:
         server2.shutdown()
+
+
+def test_lone_surrogate_answer_fails_only_its_test(tmp_path):
+    """An answer whose text holds a lone surrogate escape has no UTF-8 form:
+    it is malformed, its test fails, and the batch and its file go on."""
+    lone = (200, b'{"text": "int x\\ud800;", "stop_reason": "end_of_stream"}')
+    server, url, _ = scripted_server([ok("fine"), lone, ok("also fine"), lone])
+    try:
+        out = batch_predict(url, [("a", "p"), ("b", "p"), ("c", "p")], GenerationRequest(prompt=""),
+                            max_in_flight=1, retries=0)
+        with pytest.raises(MalformedResponseError, match="lone surrogate"):
+            complete(url, GenerationRequest(prompt="p"), retries=0)
+    finally:
+        server.shutdown()
+    assert [o.result.text if o.result else None for o in out] == ["fine", None, "also fine"]
+    assert "lone surrogate" in out[1].error
+    write_predictions(out, tmp_path / "predictions.jsonl")
+    rows = [json.loads(line) for line in (tmp_path / "predictions.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["error"] is None for r in rows] == [True, False, True]
 
 
 def test_auth_header_from_env(stub_service, monkeypatch):

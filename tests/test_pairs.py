@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from scopekit.pairs import (
     CompletionPair,
     FilterConfig,
     PairKind,
+    Span,
     apply_filters,
     check_contiguity,
     check_pair_bounds,
@@ -30,8 +32,8 @@ from scopekit.pairs import (
     leakage_scan,
     make_primary_pair,
     make_random_start_pairs,
+    merged_runs,
     pairs_from_rows,
-    pairs_sort_key,
     read_pairs,
     write_leakage_report,
     write_pairs,
@@ -508,6 +510,29 @@ def test_read_pairs_share_the_bytes_their_rows_agree_on(tmp_path):
     assert len({id(p.content) for p in read}) == 2
 
 
+def test_read_pairs_peaks_well_below_the_file_size(tmp_path):
+    """read_pairs holds the rows of one run at a time, not the file's: the
+    pairs of many files, each query 3 KiB of its file, read back with a
+    peak well below the size of their rows."""
+    pairs = []
+    for i in range(100):
+        content = f"// file {i}\n".encode() + b"int pad;\n" * 400 + b"void f() { " + b"g(); " * 100 + b"}\n"
+        cand = candidate(content, content.index(b"{") + 1, content.rindex(b"}"), file_id=f"{i:064x}")
+        pairs.append(make_primary_pair(cand, content, LOOSE))
+        pairs += make_random_start_pairs(cand, content, LOOSE, k=8, seed=i)
+    path = tmp_path / "pairs.jsonl"
+    write_pairs(pairs, path)
+    tracemalloc.start()
+    try:
+        read = read_pairs(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row(p) for p in read] == [row(p) for p in pairs]
+    assert len({id(p.content) for p in read}) == 100
+    assert peak < path.stat().st_size / 3, (peak, path.stat().st_size)
+
+
 def _utf8_row_text(d: dict) -> bytes:
     return (d["query"] + d["label"][: -len(d["eot_token"])]).encode()
 
@@ -567,15 +592,46 @@ def test_dataset_card_counts():
     assert "timestamp" not in card and "created_at" not in card
 
 
-def test_sort_key_orders_by_file_scope_kind_shift():
-    content = b"...{abcdef}"
-    cand = candidate(content, 4, 10)
-    prim = make_primary_pair(cand, content, LOOSE)
-    rand = make_random_start_pairs(cand, content, LOOSE, k=8, seed=0)
-    allp = sorted(rand + [prim], key=pairs_sort_key)
-    assert allp[0] is prim  # "primary" < "random_start"
-    shifts = [p.start_shift_bytes for p in allp[1:]]
-    assert shifts == sorted(shifts)
+def _fixture_stream(tmp_path) -> list[CompletionPair]:
+    """The fixture corpus's train stream, with queries short enough that
+    the pairs of one file start at many offsets."""
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    filters = FilterConfig(max_prefix_bytes=200)
+    cfg = PipelineConfig(repo_root=corpus, output_dir=tmp_path / "out", filters=filters, random_starts=3, seed=1)
+    manifest = ingest_repository(corpus, set(cfg.languages), cfg.exclude_globs, max_file_bytes=cfg.max_file_bytes)
+    train, _ = split_pairs(extract_all_scopes(manifest), manifest, cfg)
+    return list(train)
+
+
+def test_split_pairs_stream_is_in_file_order(tmp_path):
+    """Pairs are built in file order: by file, scope start, primary before
+    random starts, and those by shift."""
+    pairs = _fixture_stream(tmp_path)
+    keys = [(p.file_id, p.scope_start_byte, p.kind.value, p.start_shift_bytes) for p in pairs]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert {p.kind for p in pairs} == set(PairKind)
+
+
+def _overlapping_runs(pairs: list[CompletionPair]) -> int:
+    """How many of the runs merged_runs makes of the pairs' query + label
+    spans overlap the run of the same content that starts before them."""
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for run, _ in merged_runs([Span(p.content, p.query_start, p.label_end) for p in pairs]):
+        runs.setdefault(id(run.content), []).append((run.start, run.stop))
+    overlaps = 0
+    for spans in runs.values():
+        spans.sort()
+        overlaps += sum(b_start < a_stop for (_, a_stop), (b_start, _) in zip(spans, spans[1:]))
+    return overlaps
+
+
+def test_pairs_in_file_order_make_disjoint_runs(tmp_path):
+    """merged_runs joins consecutive spans only, so it shares all it can
+    only while pairs come in file order: then a content's runs never
+    overlap. Out of order, the same pairs make runs that do."""
+    pairs = _fixture_stream(tmp_path)
+    assert _overlapping_runs(pairs) == 0
+    assert _overlapping_runs(pairs[::-1]) > 0
 
 
 # ---------------------------------------------------------------- audits
