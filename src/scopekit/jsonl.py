@@ -95,6 +95,11 @@ def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collecti
         elif not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
             raise ValueError(f"{where}: {key}: expected {want}, got {type(value).__name__}")
+        elif isinstance(value, str) and not value.isascii():
+            try:
+                value.encode()
+            except UnicodeEncodeError:
+                raise ValueError(f"{where}: {key}: holds a lone surrogate, which has no UTF-8 form") from None
 
 
 def read_jsonl(
@@ -108,7 +113,8 @@ def read_jsonl(
     a non-null value for at least one key of each tuple in ``one_of``. A
     ``header`` schema, when given, checks the first row instead. Raises
     ValueError naming ``path:line`` for invalid JSON, a row that is not an
-    object, a missing key or a value of the wrong type.
+    object, a missing key, a value of the wrong type or a str value with no
+    UTF-8 form (a lone surrogate escape), which no writer could write back.
     """
     checks = (header, (), ()) if header is not None else (schema, optional, one_of)
     with open(path, encoding="utf-8") as fh:

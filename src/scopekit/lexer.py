@@ -14,7 +14,6 @@ density rather than raw file size.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .ingest import Language
@@ -28,15 +27,14 @@ _PREPROC_EVENT = re.compile(rb'[\n"\'\\]|/[*/]')
 
 _OPENER_FOR = {b"}": b"{", b")": b"("}
 
-_WS = b" \t\r\n\x0b\x0c"
-
 # Bytes a pp-number may contain ([lex.ppnumber]); sign characters after
 # e/E/p/P are left out, which only shortens the walk back.
 _PP_NUMBER = frozenset(b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_.'")
 
-_WORD = frozenset(
-    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$"
-) | frozenset(range(0x80, 0x100))  # non-ASCII identifier bytes
+# Identifier bytes, non-ASCII ones included; the classifier's word tokens
+# are runs of this class.
+WORD_CLASS = rb"[0-9A-Za-z_$\x80-\xff]"
+_WORD = frozenset(b for b in range(256) if re.fullmatch(WORD_CLASS, bytes((b,))))
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def scan(content: bytes, language: Language) -> ScanResult:
     """
     if language not in (Language.C_CPP, Language.JAVA):
         raise ValueError(f"cannot scan language {language!r}")
-    is_c = language is Language.C_CPP
+    is_c = language == Language.C_CPP  # a plain "c_cpp" str is C too
     event = _CODE_EVENT_C if is_c else _CODE_EVENT_JAVA
     res = ScanResult()
     stack: list[tuple[bytes, int]] = []
@@ -258,50 +256,3 @@ def scan(content: bytes, language: Language) -> ScanResult:
         res.diagnostics.append(f"unbalanced delimiters, orphans at {listed}{more}")
     res.pairs.sort(key=lambda s: s.open_offset)
     return res
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # word | string | char | punct
-    text: str
-    start: int
-    end: int
-
-
-class TokenWalker:
-    """Reads tokens right-to-left, skipping whitespace, comments and directives.
-
-    String/char literals come back as single tokens; comment and preprocessor
-    spans are invisible. Used for the classifier's bounded lookbehind.
-    """
-
-    def __init__(self, content: bytes, opaque: list[OpaqueSpan]):
-        self._content = content
-        self._spans = opaque  # scan appends disjoint spans in order: ends ascend
-        self._ends = [s.end for s in self._spans]
-
-    def token_before(self, offset: int) -> Token | None:
-        content = self._content
-        pos = offset
-        while True:
-            while pos > 0 and content[pos - 1] in _WS:
-                pos -= 1
-            if pos == 0:
-                return None
-            k = bisect_left(self._ends, pos)
-            if k < len(self._ends) and self._ends[k] == pos:
-                span = self._spans[k]
-                if span.kind in ("string", "char"):
-                    return Token(span.kind, "", span.start, span.end)
-                pos = span.start
-                continue
-            b = content[pos - 1]
-            if b in _WORD:
-                start = pos - 1
-                while start > 0 and content[start - 1] in _WORD:
-                    start -= 1
-                return Token("word", content[start:pos].decode("utf-8", "replace"), start, pos)
-            two = content[pos - 2 : pos]
-            if two in (b"->", b"::"):
-                return Token("punct", two.decode(), pos - 2, pos)
-            return Token("punct", chr(b), pos - 1, pos)

@@ -462,8 +462,8 @@ def pairs_from_rows(rows: Iterable[dict], where: str = "") -> list[CompletionPai
     rows of one file_id, each starting inside the bytes of those before it.
     They share one content where their bytes agree; a row that disagrees
     gets its own. Raises ValueError, prefixed with ``where``, for a row
-    whose label does not end with its eot_token, whose mask_len is not the
-    query's length, or that holds a lone surrogate (no UTF-8 form).
+    whose label does not end with its eot_token or whose mask_len is not
+    the query's length.
     """
     pairs: list[CompletionPair] = []
     run: list[tuple] = []  # the current run's rows: (row, own content or None, offset, query bytes, bytes)
@@ -486,11 +486,7 @@ def pairs_from_rows(rows: Iterable[dict], where: str = "") -> list[CompletionPai
             raise ValueError(f"{where}pair {d['pair_id']}: label does not end with its eot_token {eot!r}")
         if d["mask_len"] != len(d["query"]):
             raise ValueError(f"{where}pair {d['pair_id']}: mask_len {d['mask_len']} is not the query's length")
-        try:
-            query, body = d["query"].encode(), label[: len(label) - len(eot)].encode()
-            (d["pair_id"] + d["file_id"] + eot).encode()
-        except UnicodeEncodeError:
-            raise ValueError(f"{where}pair {d['pair_id']}: holds a lone surrogate, which has no UTF-8 form") from None
+        query, body = d["query"].encode(), label[: len(label) - len(eot)].encode()
         text = query + body
         off = d["scope_start_byte"] + d["start_shift_bytes"] - len(query) - start
         if d["file_id"] == file_id and 0 <= off < len(block):

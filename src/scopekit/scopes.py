@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import get_type_hints
 
 from .ingest import FileRecord
 from .jsonl import json_field, read_jsonl, write_lines
-from .lexer import DelimiterSpan, ScanResult, Token, TokenWalker, scan
+from .lexer import _WORD, WORD_CLASS, OpaqueSpan, ScanResult, scan
 
 logger = logging.getLogger(__name__)
 
@@ -54,24 +55,22 @@ class ScopeCandidate:
 
 # Words that introduce a type or linkage body; braces under one of these are
 # member level, the braces themselves are not bodies we categorize.
-_TYPE_BODY_WORDS = frozenset(
-    {"class", "struct", "union", "enum", "interface", "namespace", "record", "extern", "new"}
-)
-_BRACE_IMMEDIATE_BAIL = frozenset({"try", "finally", "do", "switch"})
-_QUALIFIER_PUNCT = frozenset({",", "->", "::", "*", "&", ":", "<", ">"})
+_TYPE_BODY_WORDS = frozenset(b"class struct union enum interface namespace record extern new".split())
+_TYPE_BODY_STOPS = frozenset(b"; { } =".split())
+_BRACE_IMMEDIATE_BAIL = frozenset(b"try finally do switch".split())
+_QUALIFIER_PUNCT = frozenset(b", -> :: * & : < >".split())
+_CHAIN_PUNCT = frozenset(b". -> ::".split())
 # Keywords that cannot head a function definition or a call.
 _RESERVED_HEADS = frozenset(
-    {
-        "if", "for", "while", "switch", "catch", "synchronized", "return",
-        "throw", "new", "delete", "sizeof", "alignof", "typeid", "decltype",
-        "static_assert", "case", "do", "else", "constexpr", "goto",
-    }
+    b"if for while switch catch synchronized return throw new delete sizeof alignof typeid decltype"
+    b" static_assert case do else constexpr goto".split()
 )
 # A word directly before a callee chain normally means a declaration
 # ("int foo("), except these, which introduce expressions.
-_CALL_PRECEDING_WORDS = frozenset(
-    {"return", "new", "throw", "delete", "case", "else", "do", "assert", "instanceof", "await", "yield"}
-)
+_CALL_PRECEDING_WORDS = frozenset(b"return new throw delete case else do assert instanceof await yield".split())
+
+# A significant token in code: a word, '->', '::', or any other non-space byte.
+_TOKEN = re.compile(WORD_CLASS + rb"+|->|::|\S")
 
 
 def compile_logging_patterns(patterns) -> tuple[re.Pattern, ...]:
@@ -82,12 +81,28 @@ class _FileContext:
     """Shared lex context for one file; a pair is named by its index in result.pairs."""
 
     def __init__(self, record: FileRecord, result: ScanResult):
-        self.content = record.content
+        self.content = content = record.content
         self.pairs = pairs = result.pairs
-        self.walker = TokenWalker(record.content, result.opaque)
+        # The file's significant tokens in order, as bytes and start offsets.
+        # Each string or char literal is one token, quotes included, so it
+        # is never a word or a punctuator; comments and directives give none.
+        texts: list[bytes] = []
+        starts: list[int] = []
+        pos = 0
+        for span in (*result.opaque, OpaqueSpan(len(content), len(content), "end")):
+            for m in _TOKEN.finditer(content, pos, span.start):
+                texts.append(m[0])
+                starts.append(m.start())
+            if span.kind in ("string", "char"):
+                texts.append(content[span.start : span.end])
+                starts.append(span.start)
+            pos = span.end
+        self.texts, self.starts = texts, starts
+        # opener[i]: the token index of pair i's opening delimiter
+        self.opener = [bisect_left(starts, pair.open_offset) for pair in pairs]
         # Each '(' pair's _callee_chain by its ')' offset, stored as it is
         # classified: it opens before the '{' after its ')' reads it.
-        self.chain_by_close: dict[int, tuple[Token, int, Token | None] | None] = {}
+        self.chain_by_close: dict[int, tuple[int, int, int] | None] = {}
         n = len(pairs)
         self.type_body: list[bool | None] = [None] * n
         # Pairs are properly nested and sorted by open_offset, so a parent
@@ -111,17 +126,13 @@ class _FileContext:
         if verdict is not None:
             return verdict
         verdict = False
-        t = self.walker.token_before(self.pairs[brace].open_offset)
-        for _ in range(16):
-            if t is None:
+        t = self.opener[brace]
+        for text in reversed(self.texts[max(t - 16, 0) : t]):
+            if text in _TYPE_BODY_WORDS:
+                verdict = True
                 break
-            if t.kind == "word":
-                if t.text in _TYPE_BODY_WORDS:
-                    verdict = True
-                    break
-            elif t.kind == "punct" and t.text in (";", "{", "}", "="):
+            if text in _TYPE_BODY_STOPS:
                 break
-            t = self.walker.token_before(t.start)
         self.type_body[brace] = verdict
         return verdict
 
@@ -131,62 +142,64 @@ def _member_level(i: int, ctx: _FileContext) -> bool:
     return parent < 0 or ctx.is_type_body(parent)
 
 
-def _callee_chain(ctx: _FileContext, open_offset: int) -> tuple[Token, int, Token | None] | None:
-    """Walk the qualified name before '(' backwards: a.b->c::d.
+def _callee_chain(ctx: _FileContext, paren: int) -> tuple[int, int, int] | None:
+    """Walk the qualified name before the '(' token ``paren`` backwards: a.b->c::d.
 
-    Returns (head word adjacent to the paren, chain start offset, token
-    before the whole chain), or None when no word abuts the paren.
+    Returns the token indices of the head word adjacent to the paren, of the
+    chain's first word, and of the token before the whole chain (-1 at the
+    file's start), or None when no word abuts the paren.
     """
-    head = ctx.walker.token_before(open_offset)
-    if head is None or head.kind != "word":
+    texts = ctx.texts
+    head = paren - 1
+    if head < 0 or texts[head][0] not in _WORD:
         return None
-    chain_start = head.start
-    before = ctx.walker.token_before(head.start)
-    while before is not None and before.kind == "punct" and before.text in (".", "->", "::"):
-        prev = ctx.walker.token_before(before.start)
-        if prev is None or prev.kind != "word":
-            before = prev
+    first, before = head, head - 1
+    while before >= 0 and texts[before] in _CHAIN_PUNCT:
+        if before == 0 or texts[before - 1][0] not in _WORD:
+            before -= 1
             break
-        chain_start = prev.start
-        before = ctx.walker.token_before(prev.start)
-    return head, chain_start, before
+        first = before - 1
+        before -= 2
+    return head, first, before
 
 
-def _identifier_like(text: str) -> bool:
-    return bool(text) and not text[0].isdigit()
+def _callable_head(head: bytes) -> bool:
+    return head not in _RESERVED_HEADS and not head[:1].isdigit()
 
 
-def _classify_paren(span: DelimiterSpan, ctx: _FileContext, patterns) -> ScopeCategory:
-    walked = ctx.chain_by_close[span.close_offset] = _callee_chain(ctx, span.open_offset)
+def _classify_paren(i: int, ctx: _FileContext, patterns) -> ScopeCategory:
+    walked = ctx.chain_by_close[ctx.pairs[i].close_offset] = _callee_chain(ctx, ctx.opener[i])
     if walked is None:
         return ScopeCategory.UNCLASSIFIED
-    head, chain_start, before = walked
-    if head.text in _RESERVED_HEADS or not _identifier_like(head.text):
+    head, first, before = walked
+    if not _callable_head(ctx.texts[head]):
         return ScopeCategory.UNCLASSIFIED
-    if before is not None:
-        if before.kind == "word" and before.text not in _CALL_PRECEDING_WORDS:
+    if before >= 0:
+        text = ctx.texts[before]
+        if text[0] in _WORD and text not in _CALL_PRECEDING_WORDS:
             return ScopeCategory.UNCLASSIFIED  # declaration: "int foo("
-        if before.kind == "punct" and before.text in ("@", "~"):
+        if text in (b"@", b"~"):
             return ScopeCategory.UNCLASSIFIED  # annotation / destructor decl
-    name = ctx.content[chain_start : head.end].decode("utf-8", "replace")
+    name = ctx.content[ctx.starts[first] : ctx.starts[head] + len(ctx.texts[head])].decode("utf-8", "replace")
     for pat in patterns:
         if pat.search(name):
             return ScopeCategory.LOGGING
     return ScopeCategory.FUNC_CALL
 
 
-def _classify_after_paren(i: int, rparen: Token, ctx: _FileContext) -> ScopeCategory:
-    walked = ctx.chain_by_close.get(rparen.start)  # None for an orphan ')' too
+def _classify_after_paren(i: int, rparen: int, ctx: _FileContext) -> ScopeCategory:
+    walked = ctx.chain_by_close.get(ctx.starts[rparen])  # None for an orphan ')' too
     if walked is None:
         return ScopeCategory.UNCLASSIFIED
     head, _, before = walked
-    if head.text == "for":
+    text = ctx.texts[head]
+    if text == b"for":
         return ScopeCategory.FOR_BODY
-    if head.text == "if":
+    if text == b"if":
         return ScopeCategory.IF_BODY
-    if head.text in _RESERVED_HEADS or not _identifier_like(head.text):
+    if not _callable_head(text):
         return ScopeCategory.UNCLASSIFIED
-    if before is not None and before.kind == "word" and before.text == "new":
+    if before >= 0 and ctx.texts[before] == b"new":
         return ScopeCategory.UNCLASSIFIED  # anonymous class body
     if _member_level(i, ctx):
         return ScopeCategory.FUNC_BODY
@@ -194,31 +207,25 @@ def _classify_after_paren(i: int, rparen: Token, ctx: _FileContext) -> ScopeCate
 
 
 def _classify_brace(i: int, ctx: _FileContext) -> ScopeCategory:
-    t = ctx.walker.token_before(ctx.pairs[i].open_offset)
-    if t is None:
+    t = ctx.opener[i] - 1
+    if t < 0:
         return ScopeCategory.UNCLASSIFIED
-    if t.kind == "word":
-        if t.text == "else":
-            return ScopeCategory.ELSE_BODY
-        if t.text in _BRACE_IMMEDIATE_BAIL:
-            return ScopeCategory.UNCLASSIFIED
+    if ctx.texts[t] == b"else":
+        return ScopeCategory.ELSE_BODY
+    if ctx.texts[t] in _BRACE_IMMEDIATE_BAIL:
+        return ScopeCategory.UNCLASSIFIED
     # Walk back over trailing qualifiers (const, noexcept, throws X, -> T)
     # toward the parameter-list ')'.
-    for _ in range(10):
-        if t is None:
-            return ScopeCategory.UNCLASSIFIED
-        if t.kind == "punct":
-            if t.text == ")":
-                return _classify_after_paren(i, t, ctx)
-            if t.text not in _QUALIFIER_PUNCT:
-                return ScopeCategory.UNCLASSIFIED
-        elif t.kind == "word":
-            if t.text in _TYPE_BODY_WORDS or t.text in _RESERVED_HEADS:
+    for t in range(t, max(t - 10, -1), -1):
+        text = ctx.texts[t]
+        if text == b")":
+            return _classify_after_paren(i, t, ctx)
+        if text[0] in _WORD:
+            if text in _TYPE_BODY_WORDS or text in _RESERVED_HEADS:
                 # type body, or an init list after return/new/case/...
                 return ScopeCategory.UNCLASSIFIED
-        else:
-            return ScopeCategory.UNCLASSIFIED  # string/char literal
-        t = ctx.walker.token_before(t.start)
+        elif text not in _QUALIFIER_PUNCT:
+            return ScopeCategory.UNCLASSIFIED  # other punctuation, or a literal
     return ScopeCategory.UNCLASSIFIED
 
 
@@ -247,7 +254,7 @@ def extract_scopes(
         if pair.delimiter == "{":
             category = _classify_brace(i, ctx)
         else:
-            category = _classify_paren(pair, ctx, patterns)
+            category = _classify_paren(i, ctx, patterns)
         start = pair.open_offset + 1
         end = pair.close_offset
         out.append(

@@ -3,9 +3,10 @@
 These deliberately avoid the package's algorithms: the distance oracles
 are the textbook recursion and the full O(n*m) DP table, the knn oracle a
 brute-force sort, the leak-scan oracle a compare of every pair, the
-delimiter oracle a naive stack walk, the embedding oracle one text's
-n-grams hashed one at a time on Python ints. Slow is fine; agreeing with
-production code by construction is not.
+delimiter oracle a naive stack walk, the token oracle a walk back from
+one offset at a time, the embedding oracle one text's n-grams hashed one
+at a time on Python ints. Slow is fine; agreeing with production code by
+construction is not.
 """
 
 from __future__ import annotations
@@ -158,3 +159,56 @@ def oracle_embed(text: str, dimension: int):
     if norm == 0.0:
         return np.zeros(dimension, dtype=np.float32)
     return np.array([a / norm for a in acc], dtype=np.float32)
+
+
+_WS = b" \t\r\n\x0b\x0c"
+
+
+def _oracle_word_byte(b: int) -> bool:
+    return b >= 0x80 or bytes((b,)).isalnum() or b in b"_$"
+
+
+class TokenWalker:
+    """The classifier's tokens read right to left, one at a time.
+
+    Whitespace is skipped up to an opaque span's end and never into it; a
+    comment or directive span is stepped over whole, and a string or char
+    literal comes back as one token, quotes included. A token is (start,
+    text bytes). A run of ':' splits as C++ munches it from the left
+    ([lex.pptoken]/3): pairs first, so an odd run ends in a lone ':'.
+    """
+
+    def __init__(self, content: bytes, opaque):
+        self._content = content
+        self._span_ending_at = {s.end: s for s in opaque}  # spans are disjoint and non-empty
+
+    def _run_start(self, pos: int, inside) -> int:
+        """Where the run of bytes matching ``inside`` that ends at pos starts."""
+        while pos > 0 and pos not in self._span_ending_at and inside(self._content[pos - 1]):
+            pos -= 1
+        return pos
+
+    def token_before(self, offset: int):
+        content = self._content
+        pos = offset
+        while pos > 0:
+            span = self._span_ending_at.get(pos)
+            if span is not None:
+                if span.kind in ("string", "char"):
+                    return span.start, content[span.start : span.end]
+                pos = span.start
+            elif content[pos - 1] in _WS:
+                pos -= 1
+            else:
+                break
+        if pos == 0:
+            return None
+        b = content[pos - 1]
+        if _oracle_word_byte(b):
+            start = self._run_start(pos, _oracle_word_byte)
+        elif b == ord(":"):
+            start = pos - 2 if (pos - self._run_start(pos, lambda c: c == b)) % 2 == 0 else pos - 1
+        else:
+            arrow = content[pos - 2 : pos] == b"->" and pos - 1 not in self._span_ending_at
+            start = pos - 2 if arrow else pos - 1
+        return start, content[start:pos]

@@ -547,7 +547,13 @@ def _pairs_mask_len_not_query_length(tmp_path, repo):
 
 def _pairs_lone_surrogate(tmp_path, repo):
     argv, pairs_file = _pairs_row_argv(tmp_path, label="return 1;\ud800}<|endoftext|>")
-    return argv, f"{pairs_file}: pair p: holds a lone surrogate"
+    return argv, f"{pairs_file}:1: label: holds a lone surrogate, which has no UTF-8 form"
+
+
+def _eval_prediction_lone_surrogate(tmp_path, repo):
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_text('{"test_id": "t1", "prediction": "x\\ud800", "ground_truth": "x"}\n')
+    return _eval_argv(tmp_path, tests_file), f"{tests_file}:1: prediction: holds a lone surrogate"
 
 
 def _scopes_bogus_category(tmp_path, repo):
@@ -635,6 +641,7 @@ def _empty_manifest(tmp_path, repo):
         _pairs_label_without_eot,
         _pairs_mask_len_not_query_length,
         _pairs_lone_surrogate,
+        _eval_prediction_lone_surrogate,
         _scopes_bogus_category,
         _manifest_bad_byte_len,
         _scope_past_file_end,

@@ -3,10 +3,11 @@
 import random
 
 from conftest import make_record
-from oracles import oracle_match_delimiters
+from oracles import TokenWalker, oracle_match_delimiters
 
+from scopekit import scopes
 from scopekit.ingest import Language
-from scopekit.lexer import TokenWalker, scan
+from scopekit.lexer import scan
 
 
 def pairs_of(text: str, language=Language.C_CPP):
@@ -162,7 +163,7 @@ def test_random_soup_matches_naive_oracle():
 
 
 def test_opaque_spans_sorted_and_disjoint():
-    # TokenWalker bisects scan's opaque list by end offset without sorting it
+    # the classifier tokenizes the code between scan's opaque spans in list order
     pieces = [
         "/* block { */", "// line (\n", "'{'", "'\\''", '"(\\""', '"a//b"', "#define M(x) \\\n ((x))\n",
         "#include <a.h> // tail\n", "f(x);", "{ }", " ", "\n", "1'000", "u8'a'",
@@ -183,33 +184,58 @@ def test_empty_and_trivial_inputs():
     assert scan(b"int x;", Language.C_CPP).pairs == []
 
 
-def test_token_walker_skips_comments_and_ws():
+def file_context(text: str) -> scopes._FileContext:
+    rec = make_record(text)
+    return scopes._FileContext(rec, scan(rec.content, rec.language))
+
+
+def test_token_list_skips_comments_and_ws():
     text = "if /* cond next */ (x) { }"
-    res = scan(text.encode(), Language.C_CPP)
-    walker = TokenWalker(text.encode(), res.opaque)
-    tok = walker.token_before(text.index("("))
-    assert tok.kind == "word" and tok.text == "if"
+    ctx = file_context(text)
+    assert ctx.texts[ctx.starts.index(text.index("(")) - 1] == b"if"
 
 
-def test_token_walker_string_token_and_punct():
+def test_token_list_string_token_and_punct():
     text = 'extern "C" { }'
-    res = scan(text.encode(), Language.C_CPP)
-    walker = TokenWalker(text.encode(), res.opaque)
-    tok = walker.token_before(text.index("{"))
-    assert tok.kind == "string"
-    tok2 = walker.token_before(tok.start)
-    assert tok2.kind == "word" and tok2.text == "extern"
+    ctx = file_context(text)
+    assert ctx.texts == [b"extern", b'"C"', b"{", b"}"]
+    assert ctx.starts == [0, 7, 11, 13]
 
 
-def test_token_walker_two_char_punct():
-    text = "obj->meth(x); a::b(y);"
-    res = scan(text.encode(), Language.C_CPP)
-    walker = TokenWalker(text.encode(), res.opaque)
-    meth = walker.token_before(text.index("(") )
-    arrow = walker.token_before(meth.start)
-    assert arrow.text == "->"
-    colon = walker.token_before(walker.token_before(text.rindex("(")).start)
-    assert colon.text == "::"
+def test_token_list_two_char_punct():
+    ctx = file_context("obj->meth(x); a::b(y);")
+    assert ctx.texts == [
+        b"obj", b"->", b"meth", b"(", b"x", b")", b";", b"a", b"::", b"b", b"(", b"y", b")", b";"
+    ]
+
+
+def test_token_list_matches_oracle_walk():
+    # CRLF and trailing-blank line comments, directives and unterminated
+    # literals that end in blanks: whitespace inside a span is never a gap
+    pieces = [
+        "// c\r\n", "// done  \n", "\n#endif \n", "\n#if X // t \n", "/* b { */", '"s{"', '"open  \n',
+        "'('", "'\\''", "'x \n", 'u8"a"', "1'000", "->", "::", ":", "-", ">", ".", "f", "if", "x_1", "\u00e9",
+        " ", "\t", "\n", "\r\n", ";", "=", "{", "}", "(", ")", "f(", "a.b(",
+    ]
+    rng = random.Random(21)
+    for _ in range(300):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 40)))
+        ctx = file_context(text)
+        walker = TokenWalker(ctx.content, scan(ctx.content, Language.C_CPP).opaque)
+        for pair, k in zip(ctx.pairs, ctx.opener):
+            assert (ctx.starts[k], ctx.texts[k]) == (pair.open_offset, pair.delimiter.encode()), text
+            want, pos = [], pair.open_offset
+            while len(want) < 16 and (tok := walker.token_before(pos)) is not None:
+                want.append(tok)
+                pos = tok[0]
+            got = [(ctx.starts[t], ctx.texts[t]) for t in range(k - 1, max(k - 17, -1), -1)]
+            assert got == want, text
+
+
+def test_language_value_string_lexes_as_its_member():
+    text = b"#define OPEN {\nchar c = '{';\nint f(){}\n"
+    for language in Language.C_CPP, Language.JAVA:
+        assert scan(text, language.value) == scan(text, language)
 
 
 def test_scan_rejects_other_language():

@@ -202,9 +202,9 @@ def test_callee_chain_walked_once_per_paren(monkeypatch):
     calls = []
     real = scopes._callee_chain
 
-    def counting(ctx, open_offset):
-        calls.append(open_offset)
-        return real(ctx, open_offset)
+    def counting(ctx, paren):
+        calls.append(ctx.starts[paren])  # the '(' token's offset
+        return real(ctx, paren)
 
     monkeypatch.setattr(scopes, "_callee_chain", counting)
     rec = make_record((FIXTURES / "scheduler.cpp").read_bytes(), path="scheduler.cpp")
@@ -236,6 +236,14 @@ def test_candidates_sorted_and_laminar():
             disjoint = a[1] <= b[0] or b[1] <= a[0]
             nested = (a[0] <= b[0] and b[1] <= a[1]) or (b[0] <= a[0] and a[1] <= b[1])
             assert disjoint or nested
+
+
+def test_comment_or_directive_ending_in_blanks_reads_as_a_gap():
+    # the classifier reads no token from inside a line comment or directive,
+    # also where its last bytes are blanks or a CRLF's '\r'
+    assert category_of("int f() // new\r\n{ g(); }", " g(); ") is ScopeCategory.FUNC_BODY
+    assert category_of("void f() // done  \n{ g(); }", " g(); ") is ScopeCategory.FUNC_BODY
+    assert category_of("A::A(int x) :\n#endif \n  base(x) { }", "x") is ScopeCategory.FUNC_CALL
 
 
 def test_unreadable_context_falls_back():
