@@ -10,6 +10,7 @@ post-hoc bounds audit.
 
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from scopekit import (
@@ -20,7 +21,8 @@ from scopekit import (
     make_primary_pair,
     make_random_start_pairs,
 )
-from scopekit.pairs import check_pair_bounds, count_pairs, dataset_card, write_pairs
+from scopekit.pairs import check_pair_bounds, dataset_card, write_pairs
+from scopekit.pipeline import counted
 
 HEADER = "/* sample accumulator module for the pair-generation demo */\n" * 4
 
@@ -80,15 +82,16 @@ for cand in kept:
         print(f"random-start +{pair.start_shift_bytes:3d} bytes: label begins {pair.label[:28]!r}")
     pairs.extend(extra)
 
-# The dataset card summarizes what was emitted; the bounds checker
-# re-audits the serialized records from scratch.
-card = dataset_card(count_pairs(pairs), cfg)
+# The dataset card summarizes what was emitted, counted as it is written;
+# the bounds checker re-audits the serialized records from scratch.
+counts: Counter = Counter()
+with tempfile.TemporaryDirectory() as out:
+    jsonl = Path(out) / "train_pairs.jsonl"
+    write_pairs(counted(pairs, counts), jsonl)  # each query and label is a slice of the file, escaped once
+    rows = [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
+card = dataset_card(counts, cfg)
 print("\ndataset card:")
 print(json.dumps(card, indent=2, sort_keys=True))
 
-with tempfile.TemporaryDirectory() as out:
-    jsonl = Path(out) / "train_pairs.jsonl"
-    write_pairs(pairs, jsonl)  # each query and label is a slice of the file, escaped once
-    rows = [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
 problems = check_pair_bounds(rows, cfg)
 print(f"bounds audit: {len(problems)} violations")

@@ -83,11 +83,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_scopes(args) -> int:
     cfg = _config(args)
     manifest = load_manifest(args.manifest)
-    diagnostics: list[str] = []
-    all_cands = extract_all_scopes(manifest, cfg.logging_patterns, diagnostics=diagnostics)
+    all_cands = extract_all_scopes(manifest, cfg.logging_patterns)
     write_scopes(all_cands, args.out)
-    for d in diagnostics:
-        print(f"warning: {d}", file=sys.stderr)
     print(f"extracted {len(all_cands)} scope candidates -> {args.out}")
     return EXIT_OK
 
@@ -101,8 +98,7 @@ def _cmd_pairs(args) -> int:
         if c.file_id not in records:
             raise ValueError(f"{args.scopes}: file_id {c.file_id} is not in manifest {args.manifest}")
         start, end, byte_len = c.start_byte, c.end_byte, records[c.file_id].byte_len
-        consistent = c.size_bytes == end - start and c.prefix_available_bytes == start
-        if not (consistent and 1 <= start <= end < byte_len):
+        if not 1 <= start <= end < byte_len:
             raise ValueError(f"{args.scopes}: scope [{start}, {end}) does not fit file_id {c.file_id} ({byte_len} bytes)")
     train, _ = split_pairs(candidates, manifest, cfg)
     counts: Counter = Counter()

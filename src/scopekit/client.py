@@ -28,6 +28,7 @@ from .pairs import DEFAULT_EOT_TOKEN
 logger = logging.getLogger(__name__)
 
 AUTH_TOKEN_ENV = "SCOPEKIT_AUTH_TOKEN"
+_RETRIES = 2  # attempts after the first, on a transport failure or a 5xx
 
 
 class StopReason(str, Enum):
@@ -108,13 +109,8 @@ def _truncate_at_stop(text: str, stops: Sequence[str]) -> tuple[str, bool]:
     return text[:cut], cut < len(text)
 
 
-def complete(
-    endpoint: str,
-    request: GenerationRequest,
-    *,
-    retries: int = 2,
-) -> GenerationResult:
-    """One generation call with idempotent retries on transport failures.
+def complete(endpoint: str, request: GenerationRequest) -> GenerationResult:
+    """One generation call with _RETRIES idempotent retries on transport failures.
 
     Retries cover connection errors, timeouts, and 5xx; a 4xx fails
     immediately, and so does an answer whose "text" is no string of valid
@@ -129,7 +125,7 @@ def complete(
         "temperature": request.temperature,
     }
     last_exc: Exception | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         t0 = time.perf_counter()
         try:
             status, data = post_json(endpoint, payload, request.timeout, _auth_headers())
@@ -169,7 +165,7 @@ def complete(
                     else:
                         reason = StopReason.END_OF_STREAM
                 return GenerationResult(text=text, latency_s=latency, stop_reason=reason)
-        if attempt < retries:
+        if attempt < _RETRIES:
             logger.warning("generate attempt %d failed (%s); retrying", attempt + 1, last_exc)
     raise last_exc
 
@@ -180,7 +176,6 @@ def batch_predict(
     template: GenerationRequest,
     *,
     max_in_flight: int = 4,
-    retries: int = 2,
 ) -> list[PredictionOutcome]:
     """Run (test_id, prompt) items through the endpoint.
 
@@ -194,7 +189,7 @@ def batch_predict(
         test_id, prompt = item
         req = dataclasses.replace(template, prompt=prompt)
         try:
-            return PredictionOutcome(test_id, complete(endpoint, req, retries=retries), None)
+            return PredictionOutcome(test_id, complete(endpoint, req), None)
         except Exception as exc:
             logger.warning("prediction for %s failed: %s", test_id, exc)
             return PredictionOutcome(test_id, None, str(exc))

@@ -506,16 +506,11 @@ def read_pairs(path: str | Path) -> list[CompletionPair]:
     return pairs_from_rows(read_jsonl(path, _ROW_SCHEMA), f"{path}: ")
 
 
-def count_pairs(pairs: Iterable[CompletionPair]) -> Counter[tuple[ScopeCategory, PairKind]]:
-    """How many pairs there are of each (category, kind)."""
-    return Counter((p.category, p.kind) for p in pairs)
-
-
 def dataset_card(
     counts: Mapping[tuple[ScopeCategory, PairKind], int], cfg: FilterConfig, extra: dict | None = None
 ) -> dict:
-    """Counts (from count_pairs) per category and kind plus the filter config
-    that produced them."""
+    """Counts per (category, kind), as pipeline.counted gathers them, plus
+    the filter config that produced them."""
     by_category: Counter[str] = Counter()
     by_kind: Counter[str] = Counter()
     for (category, kind), n in counts.items():

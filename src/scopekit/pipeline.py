@@ -111,13 +111,12 @@ class _Runner:
         return path
 
 
-def extract_all_scopes(
-    manifest: IngestManifest, logging_patterns=None, *, diagnostics: list[str] | None = None
-) -> list[ScopeCandidate]:
+def extract_all_scopes(manifest: IngestManifest, logging_patterns=None) -> list[ScopeCandidate]:
     """Scope candidates of every distinct file content, in manifest order.
 
     Files are content-addressed, so a byte-identical copy would yield the
-    exact same candidates (and pairs): each file_id is extracted once.
+    exact same candidates (and pairs): each file_id is extracted once. Scan
+    diagnostics are logged as warnings by the scopekit.scopes logger.
     """
     candidates: list[ScopeCandidate] = []
     seen: set[str] = set()
@@ -126,7 +125,7 @@ def extract_all_scopes(
             logger.info("skipping %s: identical content already processed", rec.repo_relative_path)
             continue
         seen.add(rec.file_id)
-        candidates.extend(extract_scopes(rec, logging_patterns, diagnostics=diagnostics))
+        candidates.extend(extract_scopes(rec, logging_patterns))
     return candidates
 
 
@@ -187,7 +186,7 @@ def _stage_scopes(runner: _Runner, config: PipelineConfig) -> _Scoped:
 
 def counted(pairs: Iterable[CompletionPair], counts: Counter) -> Iterator[CompletionPair]:
     """``pairs`` passed through, each counted in ``counts`` by (category,
-    kind), as count_pairs counts, as it goes by."""
+    kind) as it goes by: the counts dataset_card takes."""
     for p in pairs:
         counts[p.category, p.kind] += 1
         yield p
@@ -196,8 +195,9 @@ def counted(pairs: Iterable[CompletionPair], counts: Counter) -> Iterator[Comple
 def _stage_pairs(
     runner: _Runner, config: PipelineConfig, scoped: _Scoped, out: Path, *, keep: bool = False
 ) -> tuple[Counter, list[CompletionPair], list[CompletionPair]]:
-    """The pairs stage into ``out``; returns the count_pairs of the train
-    pairs and, with ``keep``, the (train, held) pairs (else two empty lists).
+    """The pairs stage into ``out``; returns the train pairs' counts by
+    (category, kind) and, with ``keep``, the (train, held) pairs (else two
+    empty lists).
 
     Each pair is written once: to train_pairs.jsonl, or to
     holdout_pairs.jsonl when its file is held out (empty without a holdout).

@@ -309,17 +309,7 @@ def index_build(pairs: Iterable[CompletionPair], embedder) -> VectorIndex:
     ids = [p.pair_id for p in pair_list]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate pair_ids in index input")
-    for p in pair_list:
-        if p.query_start == p.part:
-            logger.warning("pair %s has an empty query; key will be the zero vector", p.pair_id)
-    try:
-        keys = embedder.embed_texts([p.query_span for p in pair_list])
-    except Exception:
-        logger.error(
-            "embedding failed while building index (first pair %s)",
-            ids[0] if ids else "n/a",
-        )
-        raise
+    keys = embedder.embed_texts([p.query_span for p in pair_list])
     values = [p.label_without_eot() for p in pair_list]
     return VectorIndex(
         dimension=embedder.dimension,

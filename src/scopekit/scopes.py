@@ -13,7 +13,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import get_type_hints
 
 from .ingest import FileRecord
 from .jsonl import json_field, read_jsonl, write_lines
@@ -35,13 +34,12 @@ class ScopeCategory(str, Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScopeCandidate:
     """One extractable scope; offsets index the file's canonical bytes.
 
     start_byte is the first byte inside the opening delimiter, end_byte one
     past the last content byte (the closing delimiter sits at end_byte).
-    prefix_available_bytes equals start_byte: everything before the scope.
     """
 
     file_id: str
@@ -49,8 +47,15 @@ class ScopeCandidate:
     start_byte: int
     end_byte: int
     depth: int
-    size_bytes: int
-    prefix_available_bytes: int
+
+    @property
+    def size_bytes(self) -> int:
+        return self.end_byte - self.start_byte
+
+    @property
+    def prefix_available_bytes(self) -> int:
+        """Everything before the scope: start_byte."""
+        return self.start_byte
 
 
 # Words that introduce a type or linkage body; braces under one of these are
@@ -255,28 +260,17 @@ def extract_scopes(
             category = _classify_brace(i, ctx)
         else:
             category = _classify_paren(i, ctx, patterns)
-        start = pair.open_offset + 1
-        end = pair.close_offset
-        out.append(
-            ScopeCandidate(
-                file_id=record.file_id,
-                category=category,
-                start_byte=start,
-                end_byte=end,
-                depth=ctx.depth[i],
-                size_bytes=end - start,
-                prefix_available_bytes=start,
-            )
-        )
+        out.append(ScopeCandidate(record.file_id, category, pair.open_offset + 1, pair.close_offset, ctx.depth[i]))
     return out  # pairs ascend by open_offset, so start_byte ascends and is unique
 
 
-# A row is vars() of the dataclass: its fields are exactly the JSONL keys,
-# and str-enum fields serialise as their value.
-_SCOPE_FIELDS = get_type_hints(ScopeCandidate)
+# A scopes.jsonl row: the five fields, then the two derived from the offsets.
+_ROW_SCHEMA = {
+    "file_id": str, "category": ScopeCategory, "start_byte": int, "end_byte": int, "depth": int,
+    "size_bytes": int, "prefix_available_bytes": int,
+}
 
-
-# write_jsonl's row for vars(candidate), keys sorted
+# write_jsonl's row of those seven keys, sorted
 _SCOPE_ROW = (
     b'{"category": "%s", "depth": %d, "end_byte": %d, "file_id": "%s", '
     b'"prefix_available_bytes": %d, "size_bytes": %d, "start_byte": %d}\n'
@@ -284,7 +278,7 @@ _SCOPE_ROW = (
 
 
 def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> str:
-    """Write each candidate as the JSONL row write_jsonl gives vars(candidate);
+    """Write each candidate as the JSONL row write_jsonl gives its seven keys;
     returns the sha256 hex digest of the file."""
     return write_lines(
         (
@@ -299,4 +293,15 @@ def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> str:
 
 
 def read_scopes(path: str | Path) -> list[ScopeCandidate]:
-    return [ScopeCandidate(**{k: d[k] for k in _SCOPE_FIELDS}) for d in read_jsonl(path, _SCOPE_FIELDS)]
+    """The candidates of a scopes file. Raises ValueError naming the file for
+    a row whose size_bytes or prefix_available_bytes disagrees with its offsets."""
+    out = []
+    for d in read_jsonl(path, _ROW_SCHEMA):
+        c = ScopeCandidate(d["file_id"], d["category"], d["start_byte"], d["end_byte"], d["depth"])
+        if (d["size_bytes"], d["prefix_available_bytes"]) != (c.size_bytes, c.prefix_available_bytes):
+            raise ValueError(
+                f"{path}: scope [{c.start_byte}, {c.end_byte}) of file_id {c.file_id}: size_bytes must be"
+                " end_byte - start_byte and prefix_available_bytes must be start_byte"
+            )
+        out.append(c)
+    return out

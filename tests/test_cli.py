@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import c_file_with_scopes, write_repo
 
+import scopekit
 from scopekit.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
 from scopekit.config import SETTINGS, PipelineConfig
 from scopekit.ingest import ingest_repository
@@ -85,6 +89,20 @@ def test_pairs_streams(tmp_path):
     size = out.stat().st_size
     assert size >= 5_000_000
     assert peak < size / 2
+
+
+def test_scopes_logs_scan_diagnostics_as_run_does(tmp_path):
+    """`scopes` reports a file's scan diagnostics through the scopekit.scopes
+    logger and succeeds. It runs in a child process: in this one the test
+    runner's log capture owns the root logger, so main's format is unused."""
+    write_repo(tmp_path / "repo", {"src/ok.c": c_file_with_scopes(1), "src/broken.c": "int dangling(void) {\n"})
+    assert run(["ingest", "--root", tmp_path / "repo", "--out", tmp_path / "ingest"]) == EXIT_OK
+    src = str(Path(scopekit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "scopes.jsonl"]
+    proc = subprocess.run([sys.executable, "-m", "scopekit.cli", *map(str, argv)], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.splitlines() == ["WARNING scopekit.scopes: src/broken.c: unbalanced delimiters, orphans at 19:{"]
 
 
 def test_stage_chain_matches_pipeline_on_duplicate_content(tmp_path):
@@ -591,6 +609,18 @@ def _scope_past_file_end(tmp_path, repo):
     return argv, f"{scopes_file}: scope [{row['start_byte']}, {row['end_byte']}) does not fit file_id {row['file_id']}"
 
 
+def _scope_size_bytes_edited(tmp_path, repo):
+    run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
+    run(["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "scopes.jsonl"])
+    scopes_file = tmp_path / "scopes.jsonl"
+    first, *rest = scopes_file.read_text().splitlines()
+    row = json.loads(first)
+    row["size_bytes"] += 1  # the offsets still fit the file
+    scopes_file.write_text("\n".join([json.dumps(row), *rest]) + "\n")
+    argv = ["pairs", "--scopes", scopes_file, "--manifest", tmp_path / "ingest", "--out", tmp_path / "p.jsonl"]
+    return argv, f"{scopes_file}: scope [{row['start_byte']}, {row['end_byte']}) of file_id {row['file_id']}"
+
+
 def _empty_index(tmp_path):
     pairs_file = tmp_path / "pairs.jsonl"
     pairs_file.write_text("")
@@ -645,6 +675,7 @@ def _empty_manifest(tmp_path, repo):
         _scopes_bogus_category,
         _manifest_bad_byte_len,
         _scope_past_file_end,
+        _scope_size_bytes_edited,
         _truncated_index,
         _index_count_past_end,
         _index_nan_key,

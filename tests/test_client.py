@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import scopekit
+from scopekit import client
 from scopekit.client import (
     AUTH_TOKEN_ENV,
     GenerationRequest,
@@ -106,55 +107,61 @@ def test_server_reported_stop_reasons(stub_service):
     assert res.stop_reason is StopReason.MAX_TOKENS
 
 
-def test_timeout_raises_after_retries(stub_service):
+def test_timeout_raises_after_retries(stub_service, monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 1)
     stub_service.delay_s = 0.5
     req = GenerationRequest(prompt="p", timeout=0.05)
     with pytest.raises(GenerationTimeoutError):
-        complete(stub_service.generate_url, req, retries=1)
+        complete(stub_service.generate_url, req)
     stub_service.delay_s = 0.0
 
 
-def test_retry_then_success():
+def test_retry_then_success(monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 2)
     server, url, state = scripted_server([(500, b"{}"), ok("recovered")])
     try:
-        res = complete(url, GenerationRequest(prompt="p"), retries=2)
+        res = complete(url, GenerationRequest(prompt="p"))
         assert res.text == "recovered"
         assert state["i"] == 2
     finally:
         server.shutdown()
 
 
-def test_5xx_exhausts_retries():
+def test_5xx_exhausts_retries(monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 2)
     server, url, state = scripted_server([(503, b"{}")])
     try:
         with pytest.raises(EndpointUnavailableError):
-            complete(url, GenerationRequest(prompt="p"), retries=2)
+            complete(url, GenerationRequest(prompt="p"))
         assert state["i"] == 3  # initial try + 2 retries
     finally:
         server.shutdown()
 
 
-def test_4xx_fails_immediately():
+def test_4xx_fails_immediately(monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 3)
     server, url, state = scripted_server([(400, b"{}")])
     try:
         with pytest.raises(EndpointUnavailableError):
-            complete(url, GenerationRequest(prompt="p"), retries=3)
+            complete(url, GenerationRequest(prompt="p"))
         assert state["i"] == 1  # no retry on client error
     finally:
         server.shutdown()
 
 
-def test_connection_refused():
+def test_connection_refused(monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 0)
     with pytest.raises(EndpointUnavailableError):
-        complete("http://127.0.0.1:9/generate", GenerationRequest(prompt="p"), retries=0)
+        complete("http://127.0.0.1:9/generate", GenerationRequest(prompt="p"))
 
 
 @pytest.mark.parametrize("endpoint", ["localhost:9/generate", "localhost/generate"])
-def test_scheme_less_endpoint_is_unavailable_after_retries(caplog, endpoint):
+def test_scheme_less_endpoint_is_unavailable_after_retries(caplog, endpoint, monkeypatch):
     """urllib raises URLError for the first and ValueError for the second."""
+    monkeypatch.setattr(client, "_RETRIES", 2)
     with caplog.at_level(logging.WARNING, logger="scopekit.client"):
         with pytest.raises(EndpointUnavailableError, match="generate call failed"):
-            complete(endpoint, GenerationRequest(prompt="p"), retries=2)
+            complete(endpoint, GenerationRequest(prompt="p"))
     assert sum("retrying" in r.getMessage() for r in caplog.records) == 2
 
 
@@ -163,18 +170,20 @@ def test_connect_timeout_wrapped_by_urllib_is_a_timeout(monkeypatch):
         raise urllib.error.URLError(TimeoutError())
 
     monkeypatch.setattr(urllib.request, "urlopen", connect_timed_out)
+    monkeypatch.setattr(client, "_RETRIES", 1)
     with pytest.raises(GenerationTimeoutError):
-        complete("http://127.0.0.1:9/generate", GenerationRequest(prompt="p"), retries=1)
+        complete("http://127.0.0.1:9/generate", GenerationRequest(prompt="p"))
 
 
-def test_body_cut_short_is_unavailable():
+def test_body_cut_short_is_unavailable(monkeypatch):
     """A body shorter than its Content-Length raises http.client.IncompleteRead,
     which is no OSError; it still maps to EndpointUnavailableError."""
+    monkeypatch.setattr(client, "_RETRIES", 0)
     body = json.dumps({"text": "cut"}).encode()
     server, url, _ = scripted_server([(200, body, {"Content-Length": str(len(body) + 100)})])
     try:
         with pytest.raises(EndpointUnavailableError, match="IncompleteRead"):
-            complete(url, GenerationRequest(prompt="p"), retries=0)
+            complete(url, GenerationRequest(prompt="p"))
     finally:
         server.shutdown()
 
@@ -187,31 +196,33 @@ def test_importing_the_cli_and_pipeline_loads_no_requests():
     assert out.stdout.strip() == "[]"
 
 
-def test_malformed_json_and_missing_text():
+def test_malformed_json_and_missing_text(monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 0)
     server, url, _ = scripted_server([(200, b"this is not json")])
     try:
         with pytest.raises(MalformedResponseError):
-            complete(url, GenerationRequest(prompt="p"), retries=0)
+            complete(url, GenerationRequest(prompt="p"))
     finally:
         server.shutdown()
     server2, url2, _ = scripted_server([(200, b'{"stop_reason": "x"}')])
     try:
         with pytest.raises(MalformedResponseError):
-            complete(url2, GenerationRequest(prompt="p"), retries=0)
+            complete(url2, GenerationRequest(prompt="p"))
     finally:
         server2.shutdown()
 
 
-def test_lone_surrogate_answer_fails_only_its_test(tmp_path):
+def test_lone_surrogate_answer_fails_only_its_test(tmp_path, monkeypatch):
     """An answer whose text holds a lone surrogate escape has no UTF-8 form:
     it is malformed, its test fails, and the batch and its file go on."""
+    monkeypatch.setattr(client, "_RETRIES", 0)
     lone = (200, b'{"text": "int x\\ud800;", "stop_reason": "end_of_stream"}')
     server, url, _ = scripted_server([ok("fine"), lone, ok("also fine"), lone])
     try:
         out = batch_predict(url, [("a", "p"), ("b", "p"), ("c", "p")], GenerationRequest(prompt=""),
-                            max_in_flight=1, retries=0)
+                            max_in_flight=1)
         with pytest.raises(MalformedResponseError, match="lone surrogate"):
-            complete(url, GenerationRequest(prompt="p"), retries=0)
+            complete(url, GenerationRequest(prompt="p"))
     finally:
         server.shutdown()
     assert [o.result.text if o.result else None for o in out] == ["fine", None, "also fine"]
@@ -240,11 +251,12 @@ def test_auth_header_from_env(stub_service, monkeypatch):
 def test_auth_header_not_sent_on_to_a_redirect_target(monkeypatch):
     """A 302 is followed as a GET, but the bearer token goes to the
     configured endpoint only, as requests did for a cross-host redirect."""
+    monkeypatch.setattr(client, "_RETRIES", 0)
     target, target_url, target_state = scripted_server([ok("moved")])
     origin, url, origin_state = scripted_server([(302, b"", {"Location": target_url})])
     try:
         monkeypatch.setenv(AUTH_TOKEN_ENV, "sekrit")
-        assert complete(url, GenerationRequest(prompt="p"), retries=0).text == "moved"
+        assert complete(url, GenerationRequest(prompt="p")).text == "moved"
         assert origin_state["seen"][0][1].get("Authorization") == "Bearer sekrit"
         ((body, headers),) = target_state["seen"]
         assert body is None
@@ -269,12 +281,13 @@ def test_batch_preserves_input_order(stub_service):
     assert all(o.error is None for o in out)
 
 
-def test_batch_isolates_failures(stub_service):
+def test_batch_isolates_failures(stub_service, monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 0)
     stub_service.fail_test_substring = "POISON"
     stub_service.generate_by_query_suffix = {"OK": "fine"}
     tests = [("good", "x OK"), ("bad", "x POISON y"), ("also", "x OK")]
     out = batch_predict(
-        stub_service.generate_url, tests, GenerationRequest(prompt=""), retries=0
+        stub_service.generate_url, tests, GenerationRequest(prompt="")
     )
     assert out[0].result.text == "fine" and out[2].result.text == "fine"
     assert out[1].result is None and "500" in out[1].error

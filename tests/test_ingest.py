@@ -63,6 +63,30 @@ def test_exclude_globs(tmp_path):
     assert [r.repo_relative_path for r in m.files] == ["src/keep.c"]
 
 
+def test_leading_double_star_exclude_matches_at_the_root(tmp_path):
+    write_repo(tmp_path, {"build/x.c": "int x;", "src/build/y.c": "int y;", "src/keep.c": "int k;"})
+    m = ingest_repository(tmp_path, exclude_globs=("**/build/*",))
+    assert [r.repo_relative_path for r in m.files] == ["src/keep.c"]
+
+
+def test_unreadable_file_skipped_with_warning(tmp_path, monkeypatch, caplog):
+    # tests may run as root, where chmod cannot make a file unreadable
+    write_repo(tmp_path, {"a.c": "int a;", "locked.c": "int l;"})
+    real_read_bytes = Path.read_bytes
+
+    def read_bytes(path):
+        if path.name == "locked.c":
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    with caplog.at_level("WARNING", logger="scopekit.ingest"):
+        m = ingest_repository(tmp_path)
+    assert [r.repo_relative_path for r in m.files] == ["a.c"]
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage().startswith("skipping unreadable file locked.c: ")
+
+
 def test_file_id_is_content_hash(tmp_path):
     write_repo(tmp_path, {"one.c": "same text", "two.c": "same text", "three.c": "other"})
     m = ingest_repository(tmp_path)

@@ -140,6 +140,23 @@ def test_raw_string_diagnostic():
     assert any("raw string" in d for d in res.diagnostics)
 
 
+def test_raw_string_prefixes_flagged():
+    for prefix in ("R", "u8R", "uR", "UR", "LR"):
+        res = scan(f'auto s = {prefix}"(x)";'.encode(), Language.C_CPP)
+        assert any("raw string" in d for d in res.diagnostics), prefix
+    # a word ending in R before a string is no raw-string prefix
+    assert scan(b'BAR"x";', Language.C_CPP).diagnostics == []
+
+
+def test_backslash_crlf_splices_string_and_directive():
+    # backslash-CRLF continues the literal or directive onto the next line,
+    # so the delimiters after it stay hidden
+    for text in ('char*s="a\\\r\n}{";int g(){}', "#define M \\\r\n { x \\\r\n }\r\nint g(){}"):
+        res = scan(text.encode(), Language.C_CPP)
+        assert [p.delimiter for p in res.pairs] == ["(", "{"], text
+        assert res.orphans == [] and res.diagnostics == [], text
+
+
 def test_nested_pairs_properly_nested():
     text = "void f(int a) { for (;;) { g(a); } }"
     res = scan(text.encode(), Language.C_CPP)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ from scopekit.pairs import (
     apply_filters,
     check_contiguity,
     check_pair_bounds,
-    count_pairs,
     dataset_card,
     exclude_holdout,
     leakage_scan,
@@ -38,7 +38,7 @@ from scopekit.pairs import (
     write_leakage_report,
     write_pairs,
 )
-from scopekit.pipeline import Mode, extract_all_scopes, run_pipeline, split_pairs
+from scopekit.pipeline import Mode, counted, extract_all_scopes, run_pipeline, split_pairs
 from scopekit.scopes import ScopeCandidate, ScopeCategory, extract_scopes
 
 LOOSE = FilterConfig(min_scope_bytes=0, max_scope_bytes=10_000, min_prefix_bytes=0)
@@ -53,15 +53,7 @@ def candidate(
     category=ScopeCategory.FUNC_BODY,
     depth: int = 0,
 ) -> ScopeCandidate:
-    return ScopeCandidate(
-        file_id=file_id,
-        category=category,
-        start_byte=start,
-        end_byte=end,
-        depth=depth,
-        size_bytes=end - start,
-        prefix_available_bytes=start,
-    )
+    return ScopeCandidate(file_id=file_id, category=category, start_byte=start, end_byte=end, depth=depth)
 
 
 # ---------------------------------------------------------------- filters
@@ -584,7 +576,9 @@ def test_pair_writer_matches_json_dumps(tmp_path, files, max_prefix, eot_token, 
 
 def test_dataset_card_counts():
     pa, pb = two_pairs()
-    card = dataset_card(count_pairs([pa, pb]), FilterConfig())
+    counts: Counter = Counter()
+    assert list(counted([pa, pb], counts)) == [pa, pb]
+    card = dataset_card(counts, FilterConfig())
     assert card["total_pairs"] == 2
     assert card["by_kind"] == {"primary": 2}
     assert card["by_category"] == {"func_body": 2}

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import c_file_with_scopes, make_record, write_repo
 
+from scopekit import client
 from scopekit.config import PipelineConfig
 from scopekit.errors import InvalidConfigError, StageError
 from scopekit.pairs import FilterConfig, check_contiguity, check_pair_bounds, read_pairs
@@ -379,6 +380,28 @@ def test_rag_eval_end_to_end(tmp_path, stub_service):
     ]
     assert gen_requests and gen_requests[0].endswith("int held_fn(int step) {")
     assert "/* retrieved example 1 */" in gen_requests[0]
+
+
+def test_rag_eval_failed_prediction_is_kept_but_not_scored(tmp_path, stub_service, monkeypatch):
+    monkeypatch.setattr(client, "_RETRIES", 0)
+    body = "\n".join(f"    poison_total += {j} * step;" for j in range(4))
+    held = c_file_with_scopes(1) + f"int poison_fn(int step) {{\n{body}\n    return poison_total;\n}}\n"
+    root = tmp_path / "repo"
+    write_repo(root, {"src/mod_0.c": "/* module 0 */\n" + c_file_with_scopes(3), "src/held.c": held})
+    stub_service.fail_test_substring = "poison_fn"  # only the second test's query holds it
+    cfg = PipelineConfig(
+        repo_root=root,
+        output_dir=tmp_path / "out",
+        holdout_paths=("src/held.c",),
+        generate_endpoint=stub_service.generate_url,
+        embedding_dimension=32,
+    )
+    run_pipeline(cfg, Mode.RAG_EVAL)
+    preds = [json.loads(line) for line in (tmp_path / "out" / "predictions.jsonl").read_text().splitlines()]
+    assert [p["error"] is None for p in preds] == [True, False]
+    assert "500" in preds[1]["error"]
+    recs = [json.loads(line) for line in (tmp_path / "out" / "eval_records.jsonl").read_text().splitlines()]
+    assert [r["test_id"] for r in recs] == [preds[0]["test_id"]]
 
 
 def test_rag_eval_embeds_all_queries_in_one_call(tmp_path, stub_service):

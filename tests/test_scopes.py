@@ -1,5 +1,6 @@
 """Scope extraction and category assignment over token lookbehind."""
 
+import dataclasses
 from functools import cache
 from pathlib import Path
 
@@ -253,6 +254,13 @@ def test_unreadable_context_falls_back():
     assert table["int x=0;"] is ScopeCategory.FUNC_BODY
 
 
+def test_candidate_holds_five_slots():
+    cand = ScopeCandidate("f" * 64, ScopeCategory.FUNC_BODY, 9, 17, 2)
+    assert not hasattr(cand, "__dict__")
+    assert [f.name for f in dataclasses.fields(cand)] == ["file_id", "category", "start_byte", "end_byte", "depth"]
+    assert (cand.size_bytes, cand.prefix_available_bytes) == (8, 9)
+
+
 _OFFSET = st.integers(0, 2**63)
 
 
@@ -266,15 +274,27 @@ _OFFSET = st.integers(0, 2**63)
             start_byte=_OFFSET,
             end_byte=_OFFSET,
             depth=_OFFSET,
-            size_bytes=_OFFSET,
-            prefix_available_bytes=_OFFSET,
         ),
         max_size=8,
     )
 )
 def test_write_scopes_matches_json_dumps(tmp_path, rows):
-    """The row template gives the bytes write_jsonl gives vars(candidate)."""
-    want = write_jsonl(map(vars, rows), tmp_path / "want.jsonl")
+    """The row template gives the bytes write_jsonl gives the candidate's seven keys."""
+    want = write_jsonl(
+        (
+            {
+                "file_id": c.file_id,
+                "category": c.category,
+                "start_byte": c.start_byte,
+                "end_byte": c.end_byte,
+                "depth": c.depth,
+                "size_bytes": c.end_byte - c.start_byte,
+                "prefix_available_bytes": c.start_byte,
+            }
+            for c in rows
+        ),
+        tmp_path / "want.jsonl",
+    )
     assert write_scopes(rows, tmp_path / "got.jsonl") == want
     assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
     assert read_scopes(tmp_path / "got.jsonl") == rows
