@@ -154,16 +154,9 @@ def complete(endpoint: str, request: GenerationRequest) -> GenerationResult:
                 except UnicodeEncodeError:  # a lone surrogate escape, which no UTF-8 output can hold
                     raise MalformedResponseError("generate response 'text' holds a lone surrogate") from None
                 text, truncated = _truncate_at_stop(text, request.stop_sequences)
-                if truncated:
-                    reason = StopReason.STOP_SEQUENCE
-                else:
-                    raw = body.get("stop_reason", "end_of_stream")
-                    if raw == "max_tokens":
-                        reason = StopReason.MAX_TOKENS
-                    elif raw == "stop_sequence":
-                        reason = StopReason.STOP_SEQUENCE
-                    else:
-                        reason = StopReason.END_OF_STREAM
+                # a scan: a dict lookup would raise on an unhashable value such as []
+                raw = StopReason.STOP_SEQUENCE if truncated else body.get("stop_reason")
+                reason = next((r for r in StopReason if r == raw), StopReason.END_OF_STREAM)
                 return GenerationResult(text=text, latency_s=latency, stop_reason=reason)
         if attempt < _RETRIES:
             logger.warning("generate attempt %d failed (%s); retrying", attempt + 1, last_exc)

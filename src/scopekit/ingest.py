@@ -12,6 +12,8 @@ import fnmatch
 import hashlib
 import logging
 import os
+import stat
+from collections import Counter
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -75,7 +77,10 @@ class FileRecord:
 class IngestManifest:
     repo_root: str
     files: list[FileRecord]
-    counts: dict[str, int]
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return dict(Counter(r.language.value for r in self.files))
 
     def record_by_id(self) -> dict[str, FileRecord]:
         return {r.file_id: r for r in self.files}
@@ -103,11 +108,6 @@ def _excluded(rel_posix: str, exclude_globs) -> bool:
     return False
 
 
-def _mtime_iso(path: Path) -> str:
-    ts = path.stat().st_mtime
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat(timespec="seconds")
-
-
 def ingest_repository(
     root: str | os.PathLike,
     languages: set[Language] | None = None,
@@ -119,8 +119,9 @@ def ingest_repository(
 
     Files are selected when their detected language is in ``languages``
     (default: C_CPP and JAVA) and their repo-relative path matches no
-    exclude glob. Symlinks are not followed. Oversized and unreadable
-    files are skipped with a warning, never fatally.
+    exclude glob. Only regular files are read: symlinks, FIFOs, sockets
+    and devices are skipped. Oversized and unreadable files, and files
+    whose path is not UTF-8, are skipped with a warning, never fatally.
     """
     rootp = Path(root)
     if not rootp.is_dir():
@@ -133,21 +134,25 @@ def ingest_repository(
     for dirpath, dirnames, filenames in os.walk(rootp, followlinks=False):
         dirnames.sort()
         for name in sorted(filenames):
-            path = Path(dirpath) / name
-            if path.is_symlink():
-                continue
             lang = detect_language(name)
             if lang not in languages or lang is Language.OTHER:
                 continue
+            path = Path(dirpath) / name
             rel = path.relative_to(rootp).as_posix()
             if _excluded(rel, exclude_globs):
                 continue
             try:
-                if path.stat().st_size > max_file_bytes:
+                rel.encode("utf-8")  # a byte that does not decode is held as a lone surrogate
+                st = path.lstat()
+                if not stat.S_ISREG(st.st_mode):
+                    continue
+                if st.st_size > max_file_bytes:
                     logger.warning("skipping oversized file %s (> %d bytes)", rel, max_file_bytes)
                     continue
                 raw = path.read_bytes()
-                modified_at = _mtime_iso(path)
+            except UnicodeEncodeError:
+                logger.warning("skipping file whose path is not UTF-8: %r", os.fsencode(rel))
+                continue
             except OSError as exc:
                 logger.warning("skipping unreadable file %s: %s", rel, exc)
                 continue
@@ -162,16 +167,13 @@ def ingest_repository(
                     language=lang,
                     content=contents.setdefault(file_id, content),
                     byte_len=len(content),
-                    modified_at=modified_at,
+                    modified_at=datetime.fromtimestamp(st.st_mtime, tz=timezone.utc).isoformat(timespec="seconds"),
                     lossy_decoded=lossy,
                 )
             )
 
     records.sort(key=lambda r: r.repo_relative_path)
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec.language.value] = counts.get(rec.language.value, 0) + 1
-    return IngestManifest(repo_root=str(rootp), files=records, counts=counts)
+    return IngestManifest(repo_root=str(rootp), files=records)
 
 
 def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> tuple[Path, str]:
@@ -210,7 +212,8 @@ _FILE_ROW = {
 
 
 def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
-    """Load a manifest written by write_manifest; accepts the file or its dir."""
+    """Load a manifest written by write_manifest; accepts the file or its dir.
+    Its header's counts must be those of its rows."""
     p = Path(manifest_path)
     if p.is_dir():
         p = p / MANIFEST_NAME
@@ -240,4 +243,7 @@ def load_manifest(manifest_path: str | os.PathLike) -> IngestManifest:
         )
         for d in file_rows
     ]
-    return IngestManifest(repo_root=header["repo_root"], files=files, counts=header["counts"])
+    manifest = IngestManifest(repo_root=header["repo_root"], files=files)
+    if header["counts"] != manifest.counts:
+        raise ValueError(f"{p}: header counts {header['counts']} are not its rows' counts {manifest.counts}")
+    return manifest

@@ -63,6 +63,11 @@ class ScanResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def _after_backslash(content: bytes, i: int) -> int:
+    """Past the backslash at ``i`` and the byte it escapes, or its CRLF splice."""
+    return i + 2 + (content[i + 1 : i + 3] == b"\r\n")
+
+
 def _scan_quoted(content: bytes, pos: int, event: re.Pattern) -> tuple[int, bool]:
     """Scan a quoted literal from just after its opening quote.
 
@@ -78,10 +83,7 @@ def _scan_quoted(content: bytes, pos: int, event: re.Pattern) -> tuple[int, bool
         i = m.start()
         b = m.group()
         if b == b"\\":
-            if content[i + 1 : i + 3] == b"\r\n":
-                pos = i + 3
-            else:
-                pos = i + 2
+            pos = _after_backslash(content, i)
             continue
         if b == b"\n":
             return i, True
@@ -129,10 +131,7 @@ def _scan_preproc(content: bytes, pos: int, diagnostics: list[str]) -> int:
         i = m.start()
         b = m.group()
         if b == b"\\":
-            if content[i + 1 : i + 3] == b"\r\n":
-                pos = i + 3
-            else:
-                pos = i + 2
+            pos = _after_backslash(content, i)
         elif b == b"\n":
             return i
         elif b == b"'" and _digit_separator(content, i):

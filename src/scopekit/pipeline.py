@@ -280,13 +280,11 @@ def _run_rag_eval(runner: _Runner, config: PipelineConfig) -> None:
         )
         outcomes = client.batch_predict(config.generate_endpoint, prompts, template)
         hashed[predictions_path] = client.write_predictions(outcomes, predictions_path)
-        by_id = {p.pair_id: p for p in tests}
-        evals = []
-        for o in outcomes:
-            if o.result is None:
-                continue
-            pair = by_id[o.test_id]
-            evals.append((o.test_id, pair.category.value, o.result.text, pair.label_without_eot()))
+        evals = [  # outcomes come back in input order
+            (o.test_id, pair.category.value, o.result.text, pair.label_without_eot())
+            for pair, o in zip(tests, outcomes, strict=True)
+            if o.result is not None
+        ]
         _, hashed[records_path], hashed[report_path] = metrics.score_to_files(evals, records_path, report_path)
 
 
@@ -301,23 +299,25 @@ def _run_eval_only(runner: _Runner, config: PipelineConfig) -> None:
         _, hashed[records_path], hashed[report_path] = metrics.score_to_files(tests, records_path, report_path)
 
 
-def run_pipeline(config: PipelineConfig, mode: Mode) -> RunResult:
-    """Run one mode end to end under config.output_dir.
+def run_pipeline(config: PipelineConfig, mode: Mode | str) -> RunResult:
+    """Run one mode, a Mode or its value, end to end under config.output_dir.
 
     Every stage's inputs and outputs land in run_manifest.json with sha256
     hashes; a failing stage is recorded as failed before the error
     propagates, so partial artifacts are never presented as complete.
     """
+    try:
+        mode = Mode(mode)
+    except ValueError:
+        raise InvalidConfigError([f"unknown mode {mode!r}"]) from None
     out_dir = Path(config.output_dir)
     runner = _Runner(out_dir, mode)
     if mode is Mode.FT_EXPORT:
         _run_ft_export(runner, config, _stage_scopes(runner, config), out_dir)
     elif mode is Mode.RAG_EVAL:
         _run_rag_eval(runner, config)
-    elif mode is Mode.EVAL_ONLY:
-        _run_eval_only(runner, config)
     else:
-        raise InvalidConfigError([f"unknown mode {mode!r}"])
+        _run_eval_only(runner, config)
     manifest_path = runner.write_manifest()
     return RunResult(mode=mode, out_dir=out_dir, manifest_path=manifest_path, stages=runner.stages)
 

@@ -79,7 +79,8 @@ _TOKEN = re.compile(WORD_CLASS + rb"+|->|::|\S")
 
 
 def compile_logging_patterns(patterns) -> tuple[re.Pattern, ...]:
-    return tuple(re.compile(p) for p in (patterns or DEFAULT_LOGGING_PATTERNS))
+    """None means DEFAULT_LOGGING_PATTERNS; no patterns mean no logging category."""
+    return tuple(re.compile(p) for p in (DEFAULT_LOGGING_PATTERNS if patterns is None else patterns))
 
 
 class _FileContext:

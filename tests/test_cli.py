@@ -595,6 +595,17 @@ def _manifest_bad_byte_len(tmp_path, repo):
     return argv, f"{manifest}:2: byte_len: expected int, got str"
 
 
+def _manifest_counts_edited(tmp_path, repo):
+    run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
+    manifest = tmp_path / "ingest" / "manifest.jsonl"
+    header, *rest = manifest.read_text().splitlines()
+    row = json.loads(header)
+    row["counts"]["c_cpp"] += 1
+    manifest.write_text("\n".join([json.dumps(row), *rest]) + "\n")
+    argv = ["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "s.jsonl"]
+    return argv, f"{manifest}: header counts"
+
+
 def _scope_past_file_end(tmp_path, repo):
     run(["ingest", "--root", repo, "--out", tmp_path / "ingest"])
     run(["scopes", "--manifest", tmp_path / "ingest", "--out", tmp_path / "scopes.jsonl"])
@@ -674,6 +685,7 @@ def _empty_manifest(tmp_path, repo):
         _eval_prediction_lone_surrogate,
         _scopes_bogus_category,
         _manifest_bad_byte_len,
+        _manifest_counts_edited,
         _scope_past_file_end,
         _scope_size_bytes_edited,
         _truncated_index,

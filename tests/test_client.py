@@ -101,10 +101,19 @@ def test_earliest_stop_wins(stub_service):
 
 
 def test_server_reported_stop_reasons(stub_service):
+    # anything but a StopReason value, even an unhashable one, ends the stream
     stub_service.default_text = "plain"
-    stub_service.stop_reason = "max_tokens"
-    res = complete(stub_service.generate_url, GenerationRequest(prompt="p"))
-    assert res.stop_reason is StopReason.MAX_TOKENS
+    for raw, reason in [
+        ("max_tokens", StopReason.MAX_TOKENS),
+        ("stop_sequence", StopReason.STOP_SEQUENCE),
+        ("length", StopReason.END_OF_STREAM),
+        (None, StopReason.END_OF_STREAM),
+        (5, StopReason.END_OF_STREAM),
+        ([], StopReason.END_OF_STREAM),
+    ]:
+        stub_service.stop_reason = raw
+        res = complete(stub_service.generate_url, GenerationRequest(prompt="p"))
+        assert res.stop_reason is reason, raw
 
 
 def test_timeout_raises_after_retries(stub_service, monkeypatch):

@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import write_repo
 
+import scopekit
 from scopekit.errors import RootNotFoundError
 from scopekit.ingest import (
     Language,
@@ -115,6 +118,37 @@ def test_symlinks_not_followed(tmp_path):
     assert [r.repo_relative_path for r in m.files] == ["real/a.c"]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_fifo_named_like_source_is_skipped(tmp_path):
+    """Reading a FIFO blocks until a writer comes, so ingest runs in a child
+    process: a read that hangs fails the test at its timeout."""
+    write_repo(tmp_path, {"ok.c": "int ok;"})
+    os.mkfifo(tmp_path / "pipe.c")
+    src = str(Path(scopekit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; from scopekit.ingest import ingest_repository as i;"
+        " print([r.repo_relative_path for r in i(sys.argv[1]).files])"
+    )
+    argv = [sys.executable, "-c", code, str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['ok.c']\n"
+
+
+def test_file_with_non_utf8_name_skipped_with_warning(tmp_path, caplog):
+    write_repo(tmp_path / "repo", {"src/ok.c": "int ok;"})
+    try:
+        (tmp_path / "repo" / "src" / os.fsdecode(b"caf\xe9.c")).write_text("int cafe;")
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    with caplog.at_level("WARNING", logger="scopekit.ingest"):
+        m = ingest_repository(tmp_path / "repo")
+    assert [r.repo_relative_path for r in m.files] == ["src/ok.c"]
+    assert [r.getMessage() for r in caplog.records] == ["skipping file whose path is not UTF-8: b'src/caf\\xe9.c'"]
+    write_manifest(m, tmp_path / "out")  # every path left has a UTF-8 form
+
+
 def test_oversized_files_skipped(tmp_path, caplog):
     write_repo(tmp_path, {"small.c": "int s;", "big.c": "x" * 5000})
     with caplog.at_level("WARNING"):
@@ -154,7 +188,7 @@ def test_manifest_roundtrip(tmp_path):
     assert path.name == "manifest.jsonl"
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back = load_manifest(path)
-    assert back.counts == m.counts
+    assert back.counts == m.counts == {"c_cpp": 2, "java": 1}
     assert [r.file_id for r in back.files] == [r.file_id for r in m.files]
     assert [r.repo_relative_path for r in back.files] == [r.repo_relative_path for r in m.files]
     assert [r.content for r in back.files] == [r.content for r in m.files]

@@ -58,6 +58,16 @@ def test_ft_export_artifacts(tmp_path):
     assert [s.status for s in result.stages] == ["complete"] * 4
 
 
+def test_mode_may_be_its_string_value(tmp_path):
+    cfg = base_config(tmp_path)
+    by_member = run_pipeline(cfg, Mode.FT_EXPORT).manifest_path.read_bytes()
+    by_value = run_pipeline(dataclasses.replace(cfg, output_dir=tmp_path / "by_value"), "ft_export")
+    assert by_value.mode is Mode.FT_EXPORT
+    assert by_value.manifest_path.read_bytes() == by_member
+    with pytest.raises(InvalidConfigError, match="unknown mode 'ft-export'"):
+        run_pipeline(cfg, "ft-export")
+
+
 def test_ft_export_pairs_satisfy_bounds_and_contiguity(tmp_path):
     cfg = base_config(tmp_path)
     result = run_pipeline(cfg, Mode.FT_EXPORT)

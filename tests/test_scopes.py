@@ -4,12 +4,14 @@ import dataclasses
 from functools import cache
 from pathlib import Path
 
+import pytest
 from conftest import make_record
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_match_delimiters
 
 from scopekit import scopes
+from scopekit.config import parse_config
 from scopekit.jsonl import write_jsonl
 from scopekit.lexer import scan
 from scopekit.scopes import ScopeCandidate, ScopeCategory, extract_scopes, read_scopes, write_scopes
@@ -80,6 +82,17 @@ def test_logging_pattern_override():
     text = "void f(){audit(msg);}"
     assert category_of(text, "msg") is ScopeCategory.FUNC_CALL
     assert category_of(text, "msg", patterns=(r"(?i)audit",)) is ScopeCategory.LOGGING
+
+
+@pytest.mark.parametrize(
+    "pairs, logging",
+    [({}, True), ({"logging_patterns": None}, True), ({"logging_patterns": []}, False)],
+    ids=["absent", "null", "empty"],
+)
+def test_empty_logging_patterns_turn_the_category_off(pairs, logging):
+    cfg = parse_config({"pairs": pairs}, paths_required=False)
+    found = {c.category for c in extract_scopes(make_record("void f() { log_info(x); }"), cfg.logging_patterns)}
+    assert (ScopeCategory.LOGGING in found) is logging
 
 
 def test_plain_call_args():
