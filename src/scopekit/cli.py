@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
+from .client import GenerationRequest, batch_predict, write_predictions
 from .config import SETTINGS, PipelineConfig, parse_config, read_config
 from .errors import InvalidConfigError, ScopekitError
 from .ingest import ingest_repository, load_manifest, write_manifest
@@ -148,8 +149,6 @@ def _cmd_index_query(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .client import GenerationRequest, batch_predict, write_predictions
-
     cfg = _config(args)
     tests = [(str(d["test_id"]), d["prompt"]) for d in read_jsonl(args.tests, {"test_id": (str, int), "prompt": str})]
     template = GenerationRequest(
@@ -178,7 +177,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = run_pipeline(_config(args), Mode(args.mode))
+    result = run_pipeline(_config(args), args.mode)
     print(f"run complete -> {result.manifest_path}")
     return EXIT_OK
 

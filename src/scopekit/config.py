@@ -163,12 +163,6 @@ def read_config(path: str | Path) -> dict:
     return raw
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Parse and validate a config file; raises InvalidConfigError listing
-    every problem found."""
-    return parse_config(read_config(path))
-
-
 def parse_config(raw: dict, *, paths_required: bool = True) -> PipelineConfig:
     """Parse and validate a config object; raises InvalidConfigError listing
     every problem found. Without ``paths_required`` (a stage command, which

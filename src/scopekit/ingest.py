@@ -83,6 +83,8 @@ class IngestManifest:
         return dict(Counter(r.language.value for r in self.files))
 
     def record_by_id(self) -> dict[str, FileRecord]:
+        """The record that stands for each content: the last copy in path
+        order. Keys come in the order each content first appears."""
         return {r.file_id: r for r in self.files}
 
 
@@ -121,11 +123,16 @@ def ingest_repository(
     (default: C_CPP and JAVA) and their repo-relative path matches no
     exclude glob. Only regular files are read: symlinks, FIFOs, sockets
     and devices are skipped. Oversized and unreadable files, and files
-    whose path is not UTF-8, are skipped with a warning, never fatally.
+    whose path is not UTF-8, are skipped with a warning, never fatally; a
+    root whose path is not UTF-8 is refused (ValueError).
     """
     rootp = Path(root)
     if not rootp.is_dir():
         raise RootNotFoundError(f"ingest root is not a directory: {root}")
+    try:
+        str(rootp).encode("utf-8")  # the manifest's repo_root
+    except UnicodeEncodeError:
+        raise ValueError(f"ingest root's path is not UTF-8: {os.fsencode(rootp)!r}") from None
     if languages is None:
         languages = {Language.C_CPP, Language.JAVA}
 
@@ -198,7 +205,7 @@ def write_manifest(manifest: IngestManifest, out_dir: str | os.PathLike) -> tupl
                 "lossy_decoded": rec.lossy_decoded,
             }
         )
-    for rec in {r.file_id: r for r in manifest.files}.values():
+    for rec in manifest.record_by_id().values():
         (objects / rec.file_id).write_bytes(rec.content)
     path = out / MANIFEST_NAME
     return path, write_jsonl(rows, path)

@@ -112,17 +112,21 @@ def read_jsonl(
     holds every schema key not in ``optional``, each of the right type, and
     a non-null value for at least one key of each tuple in ``one_of``. A
     ``header`` schema, when given, checks the first row instead. Raises
-    ValueError naming ``path:line`` for invalid JSON, a row that is not an
-    object, a missing key, a value of the wrong type or a str value with no
-    UTF-8 form (a lone surrogate escape), which no writer could write back.
+    ValueError naming ``path:line`` for a line that is not UTF-8, invalid
+    JSON, a row that is not an object, a missing key, a value of the wrong
+    type or a str value with no UTF-8 form (a lone surrogate escape), which
+    no writer could write back.
     """
     checks = (header, (), ()) if header is not None else (schema, optional, one_of)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")  # a byte that does not decode is held as a lone surrogate
                 row = json.loads(line)
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not UTF-8: byte 0x{ord(line[exc.start]) - 0xDC00:02x}") from None
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(row, dict):

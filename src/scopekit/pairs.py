@@ -248,9 +248,7 @@ def _derived_rng(seed: int, file_id: str, scope_start: int) -> random.Random:
 
 def _snap_shift(content: bytes, start: int, size: int, s: int) -> int | None:
     """Clamp a raw shift onto a UTF-8 boundary within [1, size-1]."""
-    up = s
-    while up <= size - 1 and _is_continuation(content[start + up]):
-        up += 1
+    up = _snap_forward(content, start + s, start + size) - start
     if 1 <= up <= size - 1:
         return up
     down = s
@@ -334,10 +332,6 @@ class LeakageFinding:
 @dataclass
 class LeakageReport:
     findings: list[LeakageFinding] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
 
 
 def write_leakage_report(report: LeakageReport, path: str | Path) -> str:
@@ -551,7 +545,7 @@ def check_pair_bounds(
         if not label.endswith(eot):
             problems.append(f"{where}: label does not end with eot_token")
             continue
-        body = label[: -len(eot)]
+        body = label[: len(label) - len(eot)]
         scope_bytes = len(body.encode("utf-8")) - closer + d["start_shift_bytes"]
         if not (cfg.min_scope_bytes <= scope_bytes <= cfg.max_scope_bytes):
             problems.append(f"{where}: scope size {scope_bytes} outside bounds")
@@ -580,7 +574,7 @@ def check_contiguity(records: Iterable[dict], content_by_file_id: Mapping[str, b
             continue
         eot = d["eot_token"]
         label = d["label"]
-        body = label[: -len(eot)] if label.endswith(eot) else label
+        body = label[: len(label) - len(eot)] if label.endswith(eot) else label
         qb = d["query"].encode("utf-8")
         lb = body.encode("utf-8")
         part = d["scope_start_byte"] + d["start_shift_bytes"]

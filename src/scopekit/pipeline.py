@@ -114,17 +114,12 @@ class _Runner:
 def extract_all_scopes(manifest: IngestManifest, logging_patterns=None) -> list[ScopeCandidate]:
     """Scope candidates of every distinct file content, in manifest order.
 
-    Files are content-addressed, so a byte-identical copy would yield the
-    exact same candidates (and pairs): each file_id is extracted once. Scan
+    Files are content-addressed, so each file_id is extracted once, from the
+    record that stands for its content (IngestManifest.record_by_id). Scan
     diagnostics are logged as warnings by the scopekit.scopes logger.
     """
     candidates: list[ScopeCandidate] = []
-    seen: set[str] = set()
-    for rec in manifest.files:
-        if rec.file_id in seen:
-            logger.info("skipping %s: identical content already processed", rec.repo_relative_path)
-            continue
-        seen.add(rec.file_id)
+    for rec in manifest.record_by_id().values():
         candidates.extend(extract_scopes(rec, logging_patterns))
     return candidates
 
@@ -145,7 +140,7 @@ def split_pairs(
     for cand in apply_filters(candidates, config.filters, records):
         by_file.setdefault(cand.file_id, []).append(cand)
     files = [records[fid] for fid in sorted(by_file)]
-    path_by_id = {r.file_id: r.repo_relative_path for r in manifest.files}
+    path_by_id = {fid: r.repo_relative_path for fid, r in records.items()}
     train = exclude_holdout(files, config.holdout_paths, path_by_id)
     train_ids = {r.file_id for r in train}
     filters, eot, closer = config.filters, config.eot_token, config.include_closing_delimiter

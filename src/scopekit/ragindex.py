@@ -279,14 +279,10 @@ class VectorIndex:
             keys = np.frombuffer(data, dtype="<f4", count=count * dim, offset=off).reshape(count, dim).copy()
             off += count * dim * 4
             for _ in range(count):
-                (n,) = struct.unpack_from("<I", data, off)
-                off += 4
-                pair_ids.append(data[off : off + n].decode("utf-8"))
-                off += n
-                (n,) = struct.unpack_from("<I", data, off)
-                off += 4
-                values.append(data[off : off + n].decode("utf-8"))
-                off += n
+                for column in (pair_ids, values):
+                    (n,) = struct.unpack_from("<I", data, off)
+                    column.append(data[off + 4 : off + 4 + n].decode("utf-8"))
+                    off += 4 + n
         except (struct.error, ValueError):  # a length read past the end, or bytes cut mid-character
             off = len(data) + 1
         if off > len(data):  # a slice past the end comes back short, so check the end offset too

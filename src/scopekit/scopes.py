@@ -110,7 +110,6 @@ class _FileContext:
         # classified: it opens before the '{' after its ')' reads it.
         self.chain_by_close: dict[int, tuple[int, int, int] | None] = {}
         n = len(pairs)
-        self.type_body: list[bool | None] = [None] * n
         # Pairs are properly nested and sorted by open_offset, so a parent
         # precedes its children. depth is the height of a pair's subtree.
         parent, self.brace_parent, self.depth = [-1] * n, [-1] * n, [0] * n
@@ -128,19 +127,13 @@ class _FileContext:
                 self.depth[p] = self.depth[i] + 1
 
     def is_type_body(self, brace: int) -> bool:
-        verdict = self.type_body[brace]
-        if verdict is not None:
-            return verdict
-        verdict = False
         t = self.opener[brace]
         for text in reversed(self.texts[max(t - 16, 0) : t]):
             if text in _TYPE_BODY_WORDS:
-                verdict = True
-                break
+                return True
             if text in _TYPE_BODY_STOPS:
-                break
-        self.type_body[brace] = verdict
-        return verdict
+                return False
+        return False
 
 
 def _member_level(i: int, ctx: _FileContext) -> bool:

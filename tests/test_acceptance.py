@@ -299,7 +299,7 @@ def test_accept_holdout_and_leakage(capfd, fixture_export):
             (f"disjoint-{i}", f"synthetic_token_{i} = quarantine_{i} ^ 0x{i:08x};")
             for i in range(20)
         ]
-        assert leakage_scan(train, disjoint).clean
+        assert not leakage_scan(train, disjoint).findings
 
 
 def test_accept_determinism(capfd, fixture_export, tmp_path):

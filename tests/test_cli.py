@@ -337,7 +337,7 @@ def test_predict_command(tmp_path, stub_service):
     assert run(
         [
             "predict", "--endpoint", stub_service.generate_url, "--tests", tests_file,
-            "--max-new-tokens", 32, "--out", out_file,
+            "--max-new-tokens", 32, "--max-in-flight", 2, "--out", out_file,
         ]
     ) == EXIT_OK
     rows = [json.loads(x) for x in out_file.read_text().splitlines()]
@@ -665,6 +665,29 @@ def _empty_manifest(tmp_path, repo):
     return argv, f"{tmp_path / 'ingest' / 'manifest.jsonl'}: empty manifest"
 
 
+def _pairs_not_utf8(tmp_path, repo):
+    pairs_file = tmp_path / "pairs.jsonl"
+    pairs_file.write_bytes(b"\xff\n")
+    argv = ["index", "build", "--pairs", pairs_file, "--out", tmp_path / "t.index"]
+    return argv, f"{pairs_file}:1: not UTF-8: byte 0xff"
+
+
+def _eval_tests_not_utf8_after_crlf(tmp_path, repo):
+    tests_file = tmp_path / "tests.jsonl"
+    tests_file.write_bytes(b'{"test_id": "a", "prediction": "x", "ground_truth": "x"}\r\n"caf\xe9"\r\n')
+    return _eval_argv(tmp_path, tests_file), f"{tests_file}:2: not UTF-8: byte 0xe9"
+
+
+def _ingest_root_not_utf8(tmp_path, repo):
+    root = tmp_path / os.fsdecode(b"d\xe9")
+    try:
+        write_repo(root, {"a.c": "int a;"})
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    argv = ["ingest", "--root", root, "--out", tmp_path / "ingest"]
+    return argv, f"ingest root's path is not UTF-8: {os.fsencode(root)!r}"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -691,6 +714,9 @@ def _empty_manifest(tmp_path, repo):
         _truncated_index,
         _index_count_past_end,
         _index_nan_key,
+        _pairs_not_utf8,
+        _eval_tests_not_utf8_after_crlf,
+        _ingest_root_not_utf8,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

@@ -221,6 +221,18 @@ def test_malformed_json_and_missing_text(monkeypatch):
         server2.shutdown()
 
 
+@pytest.mark.parametrize("text", [5, None, ["a"]], ids=["int", "null", "list"])
+def test_answer_text_not_a_string_is_malformed(monkeypatch, text):
+    monkeypatch.setattr(client, "_RETRIES", 2)
+    server, url, state = scripted_server([(200, json.dumps({"text": text}).encode())])
+    try:
+        with pytest.raises(MalformedResponseError, match="'text' is not a string"):
+            complete(url, GenerationRequest(prompt="p"))
+    finally:
+        server.shutdown()
+    assert state["i"] == 1  # not retried
+
+
 def test_lone_surrogate_answer_fails_only_its_test(tmp_path, monkeypatch):
     """An answer whose text holds a lone surrogate escape has no UTF-8 form:
     it is malformed, its test fails, and the batch and its file go on."""

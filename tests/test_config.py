@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from scopekit.cli import EXIT_CONFIG, main
-from scopekit.config import SETTINGS, PipelineConfig, load_config, parse_config, sweep_points
+from scopekit.config import SETTINGS, PipelineConfig, parse_config, read_config, sweep_points
 from scopekit.errors import InvalidConfigError
 from scopekit.ingest import Language
 from scopekit.pipeline import run_sweep
@@ -26,7 +26,7 @@ def minimal(tmp_path) -> dict:
 
 
 def test_minimal_config_gets_defaults(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, minimal(tmp_path)))
+    cfg = parse_config(read_config(write_cfg(tmp_path, minimal(tmp_path))))
     assert cfg.languages == (Language.C_CPP, Language.JAVA)
     assert cfg.filters.min_scope_bytes == 50
     assert cfg.filters.max_prefix_bytes == 3072
@@ -72,7 +72,7 @@ def test_full_config_roundtrip(tmp_path):
             "generation": {"max_new_tokens": 99, "timeout_s": 7.5},
         }
     )
-    cfg = load_config(write_cfg(tmp_path, payload))
+    cfg = parse_config(read_config(write_cfg(tmp_path, payload)))
     assert cfg.languages == (Language.C_CPP,)
     assert cfg.max_file_bytes == 1024
     assert cfg.filters.max_depth == 4
@@ -100,7 +100,7 @@ def test_all_problems_reported_at_once(tmp_path):
         "surprise": True,
     }
     with pytest.raises(InvalidConfigError) as err:
-        load_config(write_cfg(tmp_path, payload))
+        parse_config(read_config(write_cfg(tmp_path, payload)))
     msg = str(err.value)
     for frag in (
         "repo_root is not a directory",
@@ -134,7 +134,7 @@ def test_all_problems_reported_at_once(tmp_path):
 def test_wrong_value_type_is_a_config_problem(tmp_path, capsys, patch, problem):
     path = write_cfg(tmp_path, {**minimal(tmp_path), **patch})
     with pytest.raises(InvalidConfigError) as err:
-        load_config(path)
+        parse_config(read_config(path))
     assert err.value.problems == [problem]
     assert main(["run", "--config", str(path), "--mode", "ft_export"]) == EXIT_CONFIG
     assert f"config error: {problem}" in capsys.readouterr().err
@@ -144,7 +144,7 @@ def test_wrong_value_type_is_a_config_problem(tmp_path, capsys, patch, problem):
 def test_unknown_key_in_a_section_is_a_config_problem(tmp_path, capsys, section):
     path = write_cfg(tmp_path, {**minimal(tmp_path), section: {"neighbours": 9}})
     with pytest.raises(InvalidConfigError) as err:
-        load_config(path)
+        parse_config(read_config(path))
     assert err.value.problems == [f"{section}: unknown keys ['neighbours']"]
     assert main(["run", "--config", str(path), "--mode", "ft_export"]) == EXIT_CONFIG
     assert f"config error: {section}: unknown keys ['neighbours']" in capsys.readouterr().err
@@ -153,33 +153,33 @@ def test_unknown_key_in_a_section_is_a_config_problem(tmp_path, capsys, section)
 def test_null_means_default(tmp_path):
     payload = minimal(tmp_path)
     payload.update({"pairs": {"seed": None, "holdout_paths": None}, "endpoints": {"generate": None}})
-    cfg = load_config(write_cfg(tmp_path, payload))
+    cfg = parse_config(read_config(write_cfg(tmp_path, payload)))
     assert cfg.seed == 0 and cfg.holdout_paths == () and cfg.generate_endpoint is None
 
 
 def test_missing_required_keys(tmp_path):
     with pytest.raises(InvalidConfigError) as err:
-        load_config(write_cfg(tmp_path, {}))
+        parse_config(read_config(write_cfg(tmp_path, {})))
     msg = str(err.value)
     assert "repo_root is required" in msg and "output_dir is required" in msg
 
 
 def test_nonexistent_file_and_bad_json(tmp_path):
     with pytest.raises(InvalidConfigError):
-        load_config(tmp_path / "absent.json")
+        parse_config(read_config(tmp_path / "absent.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidConfigError):
-        load_config(bad)
+        parse_config(read_config(bad))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(InvalidConfigError):
-        load_config(arr)
+        parse_config(read_config(arr))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"eot_token": "\xe9"}'.encode("latin-1"))
     for unreadable in (tmp_path, latin1):
         with pytest.raises(InvalidConfigError) as err:
-            load_config(unreadable)
+            parse_config(read_config(unreadable))
         assert err.value.problems[0].startswith(f"config file cannot be read: {unreadable}: ")
         assert main(["run", "--config", str(unreadable), "--mode", "ft_export"]) == EXIT_CONFIG
 
@@ -188,7 +188,7 @@ def test_unknown_category_in_allowlist(tmp_path):
     payload = minimal(tmp_path)
     payload["filters"] = {"category_allowlist": ["if_body", "nonsense"]}
     with pytest.raises(InvalidConfigError) as err:
-        load_config(write_cfg(tmp_path, payload))
+        parse_config(read_config(write_cfg(tmp_path, payload)))
     assert "unknown category 'nonsense'" in str(err.value)
 
 
@@ -196,10 +196,10 @@ def test_sweep_must_map_to_lists(tmp_path):
     payload = minimal(tmp_path)
     payload["sweep"] = {"filters.max_depth": 3}
     with pytest.raises(InvalidConfigError) as err:
-        load_config(write_cfg(tmp_path, payload))
+        parse_config(read_config(write_cfg(tmp_path, payload)))
     assert "sweep" in str(err.value)
     payload["sweep"] = {"filters.max_depth": [1, 2]}
-    cfg = load_config(write_cfg(tmp_path, payload))
+    cfg = parse_config(read_config(write_cfg(tmp_path, payload)))
     assert cfg.sweep == {"filters.max_depth": [1, 2]}
 
 
@@ -207,7 +207,7 @@ def test_embedder_spelling_checked(tmp_path):
     payload = minimal(tmp_path)
     payload["rag"] = {"embedder": "local"}
     with pytest.raises(InvalidConfigError) as err:
-        load_config(write_cfg(tmp_path, payload))
+        parse_config(read_config(write_cfg(tmp_path, payload)))
     assert "rag.embedder" in str(err.value)
 
 
@@ -224,10 +224,10 @@ def test_sweep_rejects_non_filter_keys(tmp_path):
     payload = minimal(tmp_path)
     payload["sweep"] = {"rag.dimension": [64, 128]}
     with pytest.raises(InvalidConfigError):
-        load_config(write_cfg(tmp_path, payload))
+        parse_config(read_config(write_cfg(tmp_path, payload)))
     payload["sweep"] = {}
     with pytest.raises(InvalidConfigError):
-        run_sweep(load_config(write_cfg(tmp_path, payload)))
+        run_sweep(parse_config(read_config(write_cfg(tmp_path, payload))))
 
 
 @pytest.mark.parametrize(
@@ -245,7 +245,7 @@ def test_sweep_rejects_non_filter_keys(tmp_path):
 def test_bad_sweep_point_fails_at_load(tmp_path, sweep, problem):
     payload = {**minimal(tmp_path), "sweep": sweep}
     with pytest.raises(InvalidConfigError) as err:
-        load_config(write_cfg(tmp_path, payload))
+        parse_config(read_config(write_cfg(tmp_path, payload)))
     assert len(err.value.problems) == 1 and problem in err.value.problems[0]
 
 
@@ -257,7 +257,7 @@ def test_sweep_points_parse_like_the_filters_block(tmp_path):
         "filters.max_depth": [None, 2],
         "filters.category_allowlist": [["if_body"]],
     }
-    cfg = load_config(write_cfg(tmp_path, payload))
+    cfg = parse_config(read_config(write_cfg(tmp_path, payload)))
     problems = []
     points = sweep_points(cfg.filters, cfg.sweep, problems)
     assert problems == []

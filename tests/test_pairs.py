@@ -286,7 +286,7 @@ def test_holdout_unknown_path_warns_but_keeps_going(caplog):
 def test_leakage_exact_label_match():
     pa, _ = two_pairs()
     report = leakage_scan([pa], [("t1", "aaaa}" + DEFAULT_EOT_TOKEN)])
-    assert not report.clean
+    assert report.findings
     f = report.findings[0]
     assert f.match_kind == MATCH_EXACT_LABEL
     assert f.training_pair_id == pa.pair_id and f.test_pair_id == "t1"
@@ -310,14 +310,14 @@ def test_leakage_crlf_normalized():
 def test_leakage_clean_on_disjoint_sets():
     pa, pb = two_pairs()
     report = leakage_scan([pa, pb], [("t", "zzzz")])
-    assert report.clean
+    assert not report.findings
 
 
 def test_leakage_skips_empty_labels(caplog):
     pa, _ = two_pairs()
     with caplog.at_level("WARNING"):
         report = leakage_scan([pa], [("t", DEFAULT_EOT_TOKEN)])
-    assert report.clean
+    assert not report.findings
     assert any("empty test label" in r.message for r in caplog.records)
 
 
@@ -682,6 +682,15 @@ def test_check_pair_bounds_respects_closer_flag():
     edge = dataclasses.replace(cfg, min_scope_bytes=80, max_scope_bytes=80)
     assert check_pair_bounds([row(prim)], edge, include_closer=False) == []
     assert check_pair_bounds([row(prim)], edge, include_closer=True) != []
+
+
+def test_audits_take_an_empty_eot_token():
+    content = b"p" * 210 + b"{" + b"s" * 80 + b"}"
+    prim = make_primary_pair(candidate(content, 211, 291), content, FilterConfig(), "")
+    assert check_pair_bounds([row(prim)], FilterConfig()) == []
+    assert check_contiguity([row(prim)], {prim.file_id: content}) == []
+    torn = dict(row(prim), label="t" * 81)
+    assert any("not a contiguous slice" in m for m in check_contiguity([torn], {prim.file_id: content}))
 
 
 def test_check_contiguity_passes_and_fails():

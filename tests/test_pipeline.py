@@ -12,8 +12,9 @@ from conftest import c_file_with_scopes, make_record, write_repo
 from scopekit import client
 from scopekit.config import PipelineConfig
 from scopekit.errors import InvalidConfigError, StageError
+from scopekit.ingest import ingest_repository
 from scopekit.pairs import FilterConfig, check_contiguity, check_pair_bounds, read_pairs
-from scopekit.pipeline import Mode, run_pipeline, run_sweep
+from scopekit.pipeline import Mode, extract_all_scopes, run_pipeline, run_sweep
 from scopekit.ragindex import VectorIndex
 from scopekit.scopes import extract_scopes, write_scopes
 
@@ -294,6 +295,19 @@ def test_duplicate_file_content_pairs_emitted_once(tmp_path):
     assert train
     ids = [p.pair_id for p in train]
     assert len(ids) == len(set(ids))
+
+
+def test_the_last_copy_stands_for_its_content(tmp_path, caplog):
+    root = tmp_path / "repo"
+    text = c_file_with_scopes(2)
+    broken = "/* broken */\n" + text + "int dangling(void) {\n"
+    write_repo(root, {"a/broken.c": broken, "b/other.c": text, "c/broken.c": broken})
+    with caplog.at_level("WARNING", logger="scopekit.scopes"):
+        candidates = extract_all_scopes(ingest_repository(root))
+    assert caplog.records and {r.getMessage().partition(":")[0] for r in caplog.records} == {"c/broken.c"}
+    # in the order each content first appears in the manifest
+    first_seen = [extract_scopes(make_record(t), diagnostics=[]) for t in (broken, text)]
+    assert candidates == first_seen[0] + first_seen[1]
 
 
 def _ft_export(cfg):

@@ -308,6 +308,21 @@ def test_remote_embedder_rejects_vectors_not_a_list_of_lists(monkeypatch, vector
         RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "status, body, error, match",
+    [
+        (503, b"busy", EmbeddingServiceUnavailableError, "embed endpoint answered 503"),
+        (200, b"not json", MalformedResponseError, "bad embed response"),
+        (200, json.dumps({"vectors": [[0.5] * 8], "dim": 8}).encode(), MalformedResponseError, "1 vectors for 2 texts"),
+    ],
+    ids=["non-200", "unparsable", "vector-count"],
+)
+def test_remote_embedder_rejects_a_bad_answer(monkeypatch, status, body, error, match):
+    monkeypatch.setattr(ragindex, "post_json", lambda url, payload, timeout, headers=None: (status, body))
+    with pytest.raises(error, match=match):
+        RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
+
+
 def test_remote_embedder_accepts_ints_and_floats(monkeypatch):
     monkeypatch.setattr(ragindex, "post_json", answer_with(lambda t: [1, -2, 0.5, 0, 0, 0, 0, 3.4e38]))
     out = RemoteEmbedder("http://embed.invalid", dimension=8).embed_texts(["a", "b"])
@@ -437,6 +452,17 @@ def test_load_rejects_a_key_count_past_the_file(tmp_path):
     struct.pack_into("<Q", raw, len(b"SCOPEIDX") + 8, 2**62)  # count, after version and dim
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="truncated or corrupt index file"):
+        VectorIndex.load(path)
+
+
+def test_load_rejects_an_unsupported_version(tmp_path):
+    idx, _, _ = build_index(["alpha"], dim=8)
+    path = tmp_path / "t.index"
+    idx.save(path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, len(b"SCOPEIDX"), 2)  # the version, first after the magic
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported index version 2"):
         VectorIndex.load(path)
 
 
