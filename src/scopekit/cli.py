@@ -66,6 +66,9 @@ def _nonblank_lines(path: str) -> list[str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise argparse.ArgumentTypeError(f"{path}:{line}: not UTF-8: byte 0x{exc.object[exc.start]:02x}")
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 

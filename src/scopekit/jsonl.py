@@ -7,12 +7,9 @@ the sha256 of the bytes they wrote, hashed as they are written.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
-import itertools
 import json
-import re
 from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping
@@ -32,7 +29,8 @@ json_field = functools.lru_cache(maxsize=256)(json_string)
 
 
 def write_lines(lines: Iterable[bytes], path: str | Path) -> str:
-    """Write the lines' bytes as they come; returns their sha256 hex digest."""
+    """Write the lines' bytes (any C-contiguous buffer) as they come;
+    returns their sha256 hex digest."""
     digest = hashlib.sha256()
     with open(path, "wb", buffering=1 << 20) as fh:
         for line in lines:
@@ -49,33 +47,11 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> str:
     )
 
 
-# JSON escapes '"', '\\' and the controls below 0x20 (RFC 8259 §7): all ASCII
-# bytes, each growing by 1 (\n, \") or 5 (\u0001) bytes. A byte from 0x80
-# up is part of a multi-byte character, which stays raw.
-_ESCAPED_BYTE = re.compile(rb'[\x00-\x1f"\\]')
-_GROWTH = bytes(len(_escape(chr(b))) - 3 for b in range(128))
-
-
-class EscapedUTF8:
-    """UTF-8 content escaped once as a JSON string, sliced by content offset.
-
-    Escaping is context-free per code point and touches only ASCII bytes, so
-    the escaped form of ``content[a:b]`` (a and b on character boundaries)
-    is the slice of the escaped whole between the images of a and b.
-    """
-
-    def __init__(self, content: bytes):
-        self._escaped = json_string(content.decode("utf-8"))
-        self._at = [m.start() for m in _ESCAPED_BYTE.finditer(content)]
-        # _grown[k]: how much the first k escaped bytes grew
-        self._grown = list(itertools.accumulate((_GROWTH[content[i]] for i in self._at), initial=0))
-
-    def _image(self, offset: int) -> int:
-        return offset + self._grown[bisect.bisect_left(self._at, offset)]
-
-    def slice(self, start: int, stop: int) -> bytes:
-        """``json_string(content[start:stop].decode())``, cut from the escaped whole."""
-        return self._escaped[self._image(start) : self._image(stop)]
+def row_template(schema: Mapping[str, type]) -> bytes:
+    """write_jsonl's row of the schema's keys as a %-format: keys sorted,
+    ``%d`` for an int value, a quoted ``%s`` for any other (given escaped)."""
+    fields = (b'"%s": %s' % (key.encode(), b"%d" if kind is int else b'"%s"') for key, kind in sorted(schema.items()))
+    return b"{%s}\n" % b", ".join(fields)
 
 
 def _check_row(row: dict, schema: Mapping[str, type | tuple], optional: Collection[str], one_of, where: str) -> None:

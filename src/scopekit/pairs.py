@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import logging
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -25,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import InvalidConfigError
 from .ingest import FileRecord
-from .jsonl import EscapedUTF8, json_field, json_string, read_jsonl, write_jsonl, write_lines
+from .jsonl import json_field, json_string, read_jsonl, row_template, write_jsonl, write_lines
 from .scopes import ScopeCandidate, ScopeCategory
 
 logger = logging.getLogger(__name__)
@@ -297,6 +299,15 @@ def make_random_start_pairs(
     ]
 
 
+def holdout_path(path: str) -> str:
+    """A listed holdout path as the manifest writes paths: "/" separators,
+    no leading "./"."""
+    path = path.replace("\\", "/")
+    while path.startswith("./"):
+        path = path[2:]
+    return path
+
+
 HasFileId = TypeVar("HasFileId")  # anything with a file_id: a FileRecord, a pair
 
 
@@ -307,14 +318,7 @@ def exclude_holdout(
 ) -> list[HasFileId]:
     """Drop every item whose file_id is a holdout file's (whole-file
     exclusion): pipeline.split_pairs gives it the FileRecords to pair."""
-
-    def norm(p: str) -> str:
-        p = p.replace("\\", "/")
-        while p.startswith("./"):
-            p = p[2:]
-        return p
-
-    wanted = {norm(p) for p in holdout_paths}
+    wanted = {holdout_path(p) for p in holdout_paths}
     known = set(path_by_file_id.values())
     for p in sorted(wanted - known):
         logger.warning("holdout path matches no ingested file: %s", p)
@@ -416,23 +420,32 @@ _ROW_SCHEMA = {
     "mask_len": int, "pair_id": str, "query": str, "scope_start_byte": int, "start_shift_bytes": int,
 }
 
-# write_jsonl's row for a pair: keys sorted, the two long strings (label,
-# query) given already escaped
-_PAIR_ROW = (
-    b'{"category": "%s", "eot_token": "%s", "file_id": "%s", "kind": "%s", "label": "%s", '
-    b'"mask_len": %d, "pair_id": "%s", "query": "%s", "scope_start_byte": %d, "start_shift_bytes": %d}\n'
-)
+_PAIR_ROW = row_template(_ROW_SCHEMA)
+
+# JSON escapes '"', '\\' and the controls below 0x20 (RFC 8259 §7): all ASCII
+# bytes, each growing by 1 (\n, \") or 5 (\u0001) bytes. A byte from 0x80
+# up is part of a multi-byte character, which stays raw.
+_ESCAPED_BYTE = re.compile(rb'[\x00-\x1f"\\]')
+_GROWTH = bytes(len(json_string(chr(b))) - 1 for b in range(128))
 
 
 def _pair_rows(pairs: Iterable[CompletionPair]) -> Iterator[bytes]:
-    content = escaped = None
+    # Escaping is context-free per code point and touches only ASCII bytes,
+    # so the escaped content[a:b] (a, b on character boundaries) is the
+    # escaped content between the images of a and b.
+    content = None
     for p in pairs:
         if p.content is not content:
-            content, escaped = p.content, EscapedUTF8(p.content)
+            content = p.content
+            escaped = json_string(content.decode("utf-8"))
+            at = [m.start() for m in _ESCAPED_BYTE.finditer(content)]
+            # grown[k]: how much the first k escaped bytes grew
+            grown = list(itertools.accumulate((_GROWTH[content[i]] for i in at), initial=0))
+        query, part, end = (o + grown[bisect.bisect_left(at, o)] for o in (p.query_start, p.part, p.label_end))
         yield _PAIR_ROW % (
             json_field(p.category), json_field(p.eot_token), json_field(p.file_id), json_field(p.kind),
-            escaped.slice(p.part, p.label_end) + json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
-            escaped.slice(p.query_start, p.part), p.scope_start_byte, p.start_shift_bytes,
+            escaped[part:end] + json_field(p.eot_token), p.mask_len, json_string(p.pair_id),
+            escaped[query:part], p.scope_start_byte, p.start_shift_bytes,
         )
 
 

@@ -30,6 +30,7 @@ from .pairs import (
     apply_filters,
     dataset_card,
     exclude_holdout,
+    holdout_path,
     leakage_scan,
     make_primary_pair,
     make_random_start_pairs,
@@ -140,8 +141,14 @@ def split_pairs(
     for cand in apply_filters(candidates, config.filters, records):
         by_file.setdefault(cand.file_id, []).append(cand)
     files = [records[fid] for fid in sorted(by_file)]
-    path_by_id = {fid: r.repo_relative_path for fid, r in records.items()}
-    train = exclude_holdout(files, config.holdout_paths, path_by_id)
+    # A content is held out when any of its paths is listed: listed paths
+    # sort last, so one stands for its byte-identical copies, and its other
+    # listed copies add nothing to the list.
+    wanted = {holdout_path(p) for p in config.holdout_paths}
+    listed_last = sorted(manifest.files, key=lambda r: r.repo_relative_path in wanted)
+    path_by_id = {r.file_id: r.repo_relative_path for r in listed_last}
+    wanted -= {r.repo_relative_path for r in manifest.files} - set(path_by_id.values())
+    train = exclude_holdout(files, wanted, path_by_id)
     train_ids = {r.file_id for r in train}
     filters, eot, closer = config.filters, config.eot_token, config.include_closing_delimiter
 

@@ -254,7 +254,7 @@ class VectorIndex:
         their sha256 hex digest."""
         eid = self.embedder_id.encode("utf-8")
         head = _MAGIC + struct.pack("<IIQI", _VERSION, self.dimension, len(self.pair_ids), len(eid)) + eid
-        keys = np.ascontiguousarray(self.keys, dtype="<f4").tobytes()
+        keys = np.ascontiguousarray(self.keys, dtype="<f4")  # written from its buffer, not copied
         entries = (_sized(pid) + _sized(value) for pid, value in zip(self.pair_ids, self.values))
         return write_lines(itertools.chain((head, keys), entries), path)
 
@@ -268,7 +268,7 @@ class VectorIndex:
             raise ValueError(f"truncated index file: {path}")
         version, dim, count, eid_len = struct.unpack_from("<IIQI", data, len(_MAGIC))
         if version != _VERSION:
-            raise ValueError(f"unsupported index version {version}")
+            raise ValueError(f"unsupported index version {version}: {path}")
         if count * dim * 4 > len(data) - off - eid_len:  # before numpy is asked for that many keys
             raise ValueError(f"truncated or corrupt index file: {path}")
         pair_ids = []

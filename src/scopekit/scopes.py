@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .ingest import FileRecord
-from .jsonl import json_field, read_jsonl, write_lines
+from .jsonl import json_field, read_jsonl, row_template, write_lines
 from .lexer import _WORD, WORD_CLASS, OpaqueSpan, ScanResult, scan
 
 logger = logging.getLogger(__name__)
@@ -264,11 +264,7 @@ _ROW_SCHEMA = {
     "size_bytes": int, "prefix_available_bytes": int,
 }
 
-# write_jsonl's row of those seven keys, sorted
-_SCOPE_ROW = (
-    b'{"category": "%s", "depth": %d, "end_byte": %d, "file_id": "%s", '
-    b'"prefix_available_bytes": %d, "size_bytes": %d, "start_byte": %d}\n'
-)
+_SCOPE_ROW = row_template(_ROW_SCHEMA)
 
 
 def write_scopes(candidates: list[ScopeCandidate], path: str | Path) -> str:

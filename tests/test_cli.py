@@ -652,6 +652,13 @@ def _index_count_past_end(tmp_path, repo):
     return ["index", "query", "--index", index], f"truncated or corrupt index file: {index}"
 
 
+def _index_version_unsupported(tmp_path, repo):
+    index = _empty_index(tmp_path)
+    raw = index.read_bytes()
+    index.write_bytes(raw[:8] + (2).to_bytes(4, "little") + raw[12:])  # the version, first after the magic
+    return ["index", "query", "--index", index], f"unsupported index version 2: {index}"
+
+
 def _index_nan_key(tmp_path, repo):
     index = tmp_path / "t.index"
     VectorIndex(2, "builtin-ngram-hash/d2/n3-4", ["p"], np.array([[np.nan, 1.0]], dtype=np.float32), ["v"]).save(index)
@@ -713,6 +720,7 @@ def _ingest_root_not_utf8(tmp_path, repo):
         _scope_size_bytes_edited,
         _truncated_index,
         _index_count_past_end,
+        _index_version_unsupported,
         _index_nan_key,
         _pairs_not_utf8,
         _eval_tests_not_utf8_after_crlf,
@@ -744,6 +752,15 @@ def test_config_flag_rejected_where_unused(tmp_path, capsys, argv):
         run(argv + ["--config", tmp_path / "absent.json"])  # argparse stops before any file is read
     assert exc.value.code == 2  # argparse usage error
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_holdout_list_not_utf8_is_a_usage_error(tmp_path, capsys):
+    listing = tmp_path / "holdout.txt"
+    listing.write_bytes(b"a.c\n\xff\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["pairs", "--scopes", "s.jsonl", "--manifest", "ingest", "--holdout", listing, "--out", "p.jsonl"])
+    assert exc.value.code == 2  # argparse usage error, before the scopes are read
+    assert f"argument --holdout: {listing}:2: not UTF-8: byte 0xff" in capsys.readouterr().err
 
 
 def _sweep_config(tmp_path, repo, grid):

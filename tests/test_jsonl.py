@@ -1,8 +1,11 @@
 """The one JSONL format every artifact uses."""
 
+import json
+
 import pytest
 
-from scopekit.jsonl import read_jsonl, write_jsonl
+from scopekit.jsonl import json_string, read_jsonl, row_template, write_jsonl
+from scopekit.pairs import PairKind
 
 
 def test_sorted_keys_raw_utf8_and_blank_lines(tmp_path):
@@ -17,3 +20,14 @@ def test_sorted_keys_raw_utf8_and_blank_lines(tmp_path):
     assert next(rows) == {"a": 1} and next(rows) == {"b": 2}
     with pytest.raises(ValueError, match=r"rows\.jsonl:4: invalid JSON"):
         next(rows)
+
+
+def test_row_template_fills_in_write_jsonls_row():
+    """A schema's template, given ints as they are and every other value
+    already escaped, is the line write_jsonl writes for the row."""
+    schema = {"size": int, "name": str, "kind": PairKind, "at": int}
+    row = {"size": 7, "name": 'a "q"\n\u00e9\U0001d11e', "kind": PairKind.RANDOM_START, "at": -2}
+    filled = row_template(schema) % tuple(
+        row[k] if schema[k] is int else json_string(row[k]) for k in sorted(schema)
+    )
+    assert filled == (json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")

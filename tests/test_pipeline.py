@@ -116,6 +116,23 @@ def test_ft_export_holdout_excluded(tmp_path):
     assert held and all(p.file_id in held_ids for p in held)
 
 
+@pytest.mark.parametrize("listed", [("a_copy/X.c",), ("./z_copy/X.c",), ("z_copy/X.c", "a_copy/X.c")])
+def test_holdout_of_any_copy_holds_out_its_content(tmp_path, caplog, listed):
+    """Byte-identical files are one content: listing any one of their paths
+    holds that content out, whichever copy sorts last."""
+    text = "/* shared */\n" + c_file_with_scopes(3)
+    root = tmp_path / "repo"
+    write_repo(root, {"a_copy/X.c": text, "z_copy/X.c": text, "src/other.c": "/* other */\n" + text})
+    cfg = PipelineConfig(repo_root=root, output_dir=tmp_path / "out", holdout_paths=listed)
+    with caplog.at_level("WARNING", logger="scopekit.pairs"):
+        out = run_pipeline(cfg, Mode.FT_EXPORT).out_dir
+    assert not [r for r in caplog.records if "matches no ingested file" in r.getMessage()]
+    held = read_pairs(out / "holdout_pairs.jsonl")
+    assert held and {p.file_id for p in held} == {hashlib.sha256(text.encode()).hexdigest()}
+    train = read_pairs(out / "train_pairs.jsonl")
+    assert train and not {p.file_id for p in train} & {p.file_id for p in held}
+
+
 def test_ft_export_fixture_corpus_golden_hashes(tmp_path):
     """The output contract: both files hold only content hashes and offsets,
     so their bytes do not depend on the checkout path or file times."""

@@ -373,6 +373,29 @@ def test_index_build_holds_the_keys_once():
     assert peak < 1.5 * index.keys.nbytes, f"peak {peak / 1e6:.1f} MB for {index.keys.nbytes / 1e6:.1f} MB of keys"
 
 
+def test_save_writes_the_keys_without_a_copy(tmp_path):
+    """save hands the float32 key matrix to the writer as it is: its
+    tracemalloc peak stays far below the matrix (a bytes copy would be all
+    of it), and the key block holds the matrix row-major, little-endian."""
+    count, dim = 20_000, 384
+    keys = np.random.default_rng(0).standard_normal((count, dim), dtype=np.float32)
+    index = VectorIndex(dim, "builtin-ngram-hash/d384/n3-4", [f"p{i}" for i in range(count)], keys, ["v"] * count)
+    path = tmp_path / "t.index"
+    tracemalloc.start()
+    try:
+        digest = index.save(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < keys.nbytes / 8, f"peak {peak / 1e6:.1f} MB for {keys.nbytes / 1e6:.1f} MB of keys"
+    raw = path.read_bytes()
+    assert digest == hashlib.sha256(raw).hexdigest()
+    head = len(b"SCOPEIDX") + struct.calcsize("<IIQI") + len(index.embedder_id)
+    assert raw[head : head + keys.nbytes] == keys.astype("<f4").tobytes()
+    loaded = VectorIndex.load(path)
+    assert np.array_equal(loaded.keys, keys) and loaded.pair_ids == index.pair_ids
+
+
 def test_index_build_skips_non_primary_and_rejects_duplicates():
     from scopekit.pairs import make_random_start_pairs
 
