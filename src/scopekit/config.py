@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfigError
-from .ingest import DEFAULT_MAX_FILE_BYTES, Language
+from .client import GenerationRequest
+from .ingest import DEFAULT_LANGUAGES, DEFAULT_MAX_FILE_BYTES, Language
 from .pairs import DEFAULT_EOT_TOKEN, FilterConfig
-from .ragindex import DEFAULT_DIMENSION, make_embedder
+from .ragindex import DEFAULT_BUDGET_BYTES, DEFAULT_DIMENSION, make_embedder
 from .scopes import DEFAULT_LOGGING_PATTERNS, ScopeCategory
 
 
@@ -25,7 +26,7 @@ from .scopes import DEFAULT_LOGGING_PATTERNS, ScopeCategory
 class PipelineConfig:
     repo_root: Path
     output_dir: Path
-    languages: tuple[Language, ...] = (Language.C_CPP, Language.JAVA)
+    languages: tuple[Language, ...] = DEFAULT_LANGUAGES
     exclude_globs: tuple[str, ...] = ()
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES
     filters: FilterConfig = field(default_factory=FilterConfig)
@@ -38,10 +39,10 @@ class PipelineConfig:
     embedder: str = "builtin"  # "builtin" or "remote:<url>"
     embedding_dimension: int = DEFAULT_DIMENSION
     n_neighbors: int = 3
-    budget_bytes: int = 6144
+    budget_bytes: int = DEFAULT_BUDGET_BYTES
     generate_endpoint: str | None = None
-    gen_max_new_tokens: int = 256
-    gen_timeout_s: float = 120.0
+    gen_max_new_tokens: int = GenerationRequest.max_new_tokens
+    gen_timeout_s: float = GenerationRequest.timeout
     predictions_path: Path | None = None  # EVAL_ONLY input
     sweep: dict[str, list] = field(default_factory=dict)
 

@@ -17,6 +17,7 @@ from collections import Counter
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import Collection
 
 from .errors import RootNotFoundError
 from .jsonl import read_jsonl, write_jsonl
@@ -34,6 +35,8 @@ class Language(str, Enum):
     JAVA = "java"
     OTHER = "other"
 
+
+DEFAULT_LANGUAGES = (Language.C_CPP, Language.JAVA)
 
 # Lowercase extension -> language.
 DEFAULT_EXTENSION_TABLE = {
@@ -112,7 +115,7 @@ def _excluded(rel_posix: str, exclude_globs) -> bool:
 
 def ingest_repository(
     root: str | os.PathLike,
-    languages: set[Language] | None = None,
+    languages: Collection[Language] = DEFAULT_LANGUAGES,
     exclude_globs: tuple[str, ...] = (),
     *,
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
@@ -133,9 +136,6 @@ def ingest_repository(
         str(rootp).encode("utf-8")  # the manifest's repo_root
     except UnicodeEncodeError:
         raise ValueError(f"ingest root's path is not UTF-8: {os.fsencode(rootp)!r}") from None
-    if languages is None:
-        languages = {Language.C_CPP, Language.JAVA}
-
     records: list[FileRecord] = []
     contents: dict[str, bytes] = {}  # file_id -> its first copy's bytes, which later copies share
     for dirpath, dirnames, filenames in os.walk(rootp, followlinks=False):

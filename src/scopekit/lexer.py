@@ -1,4 +1,4 @@
-"""Comment- and string-aware delimiter scanning for C/C++ and Java.
+"""Comment- and string-aware tokenizing and delimiter matching for C/C++ and Java.
 
 The scanner never parses; it tracks lexical mode (code, line comment, block
 comment, string literal, char literal, preprocessor line) so that braces and
@@ -6,9 +6,9 @@ parentheses inside literals, comments, or macro bodies cannot corrupt the
 match stack. Every offset reported here is a byte offset into the scanned
 content.
 
-Scanning is event-driven: a compiled regex jumps between the few byte
-positions that can change state, so cost scales with delimiter/quote/comment
-density rather than raw file size.
+This is the package's one tokenizer: one regex walks the code token by
+token, recording each token for scope classification, and narrower regexes
+jump to the ends of comments, literals and directives.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 
 from .ingest import Language
 
-# Events that matter in code mode. A lone '/' (division) is not an event.
-_CODE_EVENT_C = re.compile(rb'[{}()"\'#]|/[*/]')
-_CODE_EVENT_JAVA = re.compile(rb'[{}()"\']|/[*/]')
-_STRING_EVENT = re.compile(rb'["\\\n]')
-_CHAR_EVENT = re.compile(rb"['\\\n]")
-_PREPROC_EVENT = re.compile(rb'[\n"\'\\]|/[*/]')
+# A lone CR ends a line as LF does; in CRLF the LF ends it.
+_LINE_END = re.compile(rb"\n|\r(?!\n)")
+_STRING_EVENT = re.compile(rb'["\\]|' + _LINE_END.pattern)
+_CHAR_EVENT = re.compile(rb"['\\]|" + _LINE_END.pattern)
+_PREPROC_EVENT = re.compile(rb'["\'\\]|/[*/]|' + _LINE_END.pattern)
 
 _OPENER_FOR = {b"}": b"{", b")": b"("}
 
@@ -31,10 +30,14 @@ _OPENER_FOR = {b"}": b"{", b")": b"("}
 # e/E/p/P are left out, which only shortens the walk back.
 _PP_NUMBER = frozenset(b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_.'")
 
-# Identifier bytes, non-ASCII ones included; the classifier's word tokens
-# are runs of this class.
+# Identifier bytes, non-ASCII ones included.
 WORD_CLASS = rb"[0-9A-Za-z_$\x80-\xff]"
 _WORD = frozenset(b for b in range(256) if re.fullmatch(WORD_CLASS, bytes((b,))))
+
+# A code token: a word, '->', '::', a comment opener or any other non-space byte.
+_CODE_TOKEN = re.compile(WORD_CLASS + rb"+|->|::|/[*/]|\S")
+# The code tokens that may change the scanner's mode (see _opaque_span).
+_EVENTS = frozenset((b"{", b"}", b"(", b")", b'"', b"'", b"//", b"/*", b"#"))
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,10 @@ class ScanResult:
     orphans: list[tuple[int, str]] = field(default_factory=list)
     opaque: list[OpaqueSpan] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
+    # The code tokens in order, as bytes and start offsets; a string or char
+    # literal is one token, quotes included, a comment or directive none.
+    token_texts: list[bytes] = field(default_factory=list)
+    token_starts: list[int] = field(default_factory=list)
 
 
 def _after_backslash(content: bytes, i: int) -> int:
@@ -72,7 +79,7 @@ def _scan_quoted(content: bytes, pos: int, event: re.Pattern) -> tuple[int, bool
     """Scan a quoted literal from just after its opening quote.
 
     Returns (end, unterminated): end is one past the closing quote, or the
-    offset of the newline/EOF that cut the literal short. Backslash escapes
+    offset of the line end/EOF that cut the literal short. Backslash escapes
     consume the next byte; backslash-CRLF is consumed as one splice.
     """
     n = len(content)
@@ -85,23 +92,21 @@ def _scan_quoted(content: bytes, pos: int, event: re.Pattern) -> tuple[int, bool
         if b == b"\\":
             pos = _after_backslash(content, i)
             continue
-        if b == b"\n":
+        if b in (b"\n", b"\r"):
             return i, True
         return i + 1, False  # closing quote
 
 
 def _scan_line_comment(content: bytes, pos: int, splice: bool) -> int:
     """Scan to end of a line comment; ``splice`` honors backslash-newline."""
-    n = len(content)
     while True:
-        j = content.find(b"\n", pos)
-        if j < 0:
-            return n
+        m = _LINE_END.search(content, pos)
+        if m is None:
+            return len(content)
+        j = m.start()
         if splice:
-            k = j - 1
-            if k >= 0 and content[k : k + 1] == b"\r":
-                k -= 1
-            if k >= 0 and content[k : k + 1] == b"\\":
+            k = j - 1 - (content[j - 1 : j + 1] == b"\r\n")
+            if content[k : k + 1] == b"\\":
                 pos = j + 1
                 continue
         return j
@@ -132,7 +137,7 @@ def _scan_preproc(content: bytes, pos: int, diagnostics: list[str]) -> int:
         b = m.group()
         if b == b"\\":
             pos = _after_backslash(content, i)
-        elif b == b"\n":
+        elif b in (b"\n", b"\r"):
             return i
         elif b == b"'" and _digit_separator(content, i):
             pos = i + 1
@@ -175,7 +180,7 @@ def _suspect_raw_string(content: bytes, i: int) -> bool:
 
 
 def scan(content: bytes, language: Language) -> ScanResult:
-    """Match braces and parens in ``content``, ignoring non-code regions.
+    """Tokenize ``content`` and match its braces and parens, ignoring non-code regions.
 
     Matching uses one combined stack: a closer pairs with the nearest
     same-class opener; openers skipped over and unmatched closers are
@@ -185,67 +190,40 @@ def scan(content: bytes, language: Language) -> ScanResult:
     if language not in (Language.C_CPP, Language.JAVA):
         raise ValueError(f"cannot scan language {language!r}")
     is_c = language == Language.C_CPP  # a plain "c_cpp" str is C too
-    event = _CODE_EVENT_C if is_c else _CODE_EVENT_JAVA
     res = ScanResult()
+    texts, starts = res.token_texts, res.token_starts
     stack: list[tuple[bytes, int]] = []
     pos = 0
-    n = len(content)
-    while pos < n:
-        m = event.search(content, pos)
-        if m is None:
+    # Each pass walks code tokens up to the next comment, literal or directive;
+    # the next resumes at its end. A pass that reaches the end ends the scan.
+    while True:
+        for m in _CODE_TOKEN.finditer(content, pos):
+            tok = m[0]
+            i = m.start()
+            if tok in _EVENTS:
+                if tok in (b"{", b"("):
+                    stack.append((tok, i))
+                elif tok in (b"}", b")"):
+                    opener = _OPENER_FOR[tok]
+                    j = len(stack) - 1
+                    while j >= 0 and stack[j][0] != opener:
+                        j -= 1
+                    if j < 0:
+                        res.orphans.append((i, tok.decode()))
+                    else:
+                        for ch, off in stack[j + 1 :]:
+                            res.orphans.append((off, ch.decode()))
+                        res.pairs.append(DelimiterSpan(stack[j][1], i, opener.decode()))
+                        del stack[j:]
+                else:
+                    end = _opaque_span(content, tok, i, is_c, res)
+                    if end is not None:
+                        pos = end
+                        break
+            texts.append(tok)
+            starts.append(i)
+        else:
             break
-        i = m.start()
-        tok = m.group()
-        if tok in (b"{", b"("):
-            stack.append((tok, i))
-            pos = i + 1
-        elif tok in (b"}", b")"):
-            opener = _OPENER_FOR[tok]
-            j = len(stack) - 1
-            while j >= 0 and stack[j][0] != opener:
-                j -= 1
-            if j < 0:
-                res.orphans.append((i, tok.decode()))
-            else:
-                for ch, off in stack[j + 1 :]:
-                    res.orphans.append((off, ch.decode()))
-                res.pairs.append(DelimiterSpan(stack[j][1], i, opener.decode()))
-                del stack[j:]
-            pos = i + 1
-        elif tok == b'"':
-            if is_c and _suspect_raw_string(content, i):
-                res.diagnostics.append(
-                    f"suspected raw string literal at byte {i}; raw strings are not lexed"
-                )
-            end, unterminated = _scan_quoted(content, i + 1, _STRING_EVENT)
-            if unterminated:
-                res.diagnostics.append(f"unterminated string literal at byte {i}")
-            res.opaque.append(OpaqueSpan(i, end, "string"))
-            pos = end
-        elif tok == b"'":
-            if is_c and _digit_separator(content, i):
-                pos = i + 1
-                continue
-            end, unterminated = _scan_quoted(content, i + 1, _CHAR_EVENT)
-            if unterminated:
-                res.diagnostics.append(f"unterminated char literal at byte {i}")
-            res.opaque.append(OpaqueSpan(i, end, "char"))
-            pos = end
-        elif tok == b"//":
-            end = _scan_line_comment(content, i + 2, splice=is_c)
-            res.opaque.append(OpaqueSpan(i, end, "line_comment"))
-            pos = end
-        elif tok == b"/*":
-            end = _scan_block_comment(content, i + 2, res.diagnostics)
-            res.opaque.append(OpaqueSpan(i, end, "block_comment"))
-            pos = end
-        else:  # b'#', C/C++ only
-            if _at_line_start(content, i):
-                end = _scan_preproc(content, i, res.diagnostics)
-                res.opaque.append(OpaqueSpan(i, end, "preproc"))
-                pos = end
-            else:
-                pos = i + 1
     for ch, off in stack:
         res.orphans.append((off, ch.decode()))
     res.orphans.sort()
@@ -255,3 +233,30 @@ def scan(content: bytes, language: Language) -> ScanResult:
         res.diagnostics.append(f"unbalanced delimiters, orphans at {listed}{more}")
     res.pairs.sort(key=lambda s: s.open_offset)
     return res
+
+
+def _opaque_span(content: bytes, tok: bytes, i: int, is_c: bool, res: ScanResult) -> int | None:
+    """Record the comment, literal or directive that ``tok`` at ``i`` opens
+    and return its end; a literal is also the token it makes. None when
+    ``tok`` opens none: a '#' not at a C/C++ line start, a digit separator."""
+    if tok == b"//":
+        end, kind = _scan_line_comment(content, i + 2, splice=is_c), "line_comment"
+    elif tok == b"/*":
+        end, kind = _scan_block_comment(content, i + 2, res.diagnostics), "block_comment"
+    elif tok == b"#":
+        if not (is_c and _at_line_start(content, i)):
+            return None
+        end, kind = _scan_preproc(content, i, res.diagnostics), "preproc"
+    elif tok == b"'" and is_c and _digit_separator(content, i):
+        return None
+    else:
+        kind = "string" if tok == b'"' else "char"
+        if kind == "string" and is_c and _suspect_raw_string(content, i):
+            res.diagnostics.append(f"suspected raw string literal at byte {i}; raw strings are not lexed")
+        end, unterminated = _scan_quoted(content, i + 1, _STRING_EVENT if kind == "string" else _CHAR_EVENT)
+        if unterminated:
+            res.diagnostics.append(f"unterminated {kind} literal at byte {i}")
+        res.token_texts.append(content[i:end])
+        res.token_starts.append(i)
+    res.opaque.append(OpaqueSpan(i, end, kind))
+    return end

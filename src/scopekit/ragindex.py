@@ -36,6 +36,7 @@ from .pairs import CompletionPair, PairKind, Span, merged_runs
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 384
+DEFAULT_BUDGET_BYTES = 6144  # augment_query's prompt budget
 _NGRAM_SIZES = (3, 4)  # HashingEmbedder's; part of its embedder_id, so of every index file
 _MAX_RUN_BYTES = 1 << 16  # HashingEmbedder's: a run's hashing temporaries stay cache-sized
 
@@ -417,7 +418,7 @@ def augment_query(
     query: str,
     neighbors: list[tuple[str, float]],
     index: VectorIndex,
-    budget_bytes: int = 6144,
+    budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> str:
     """Frame every retrieved label as a comment block ahead of the query.
 

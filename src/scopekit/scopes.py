@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .ingest import FileRecord
 from .jsonl import json_field, read_jsonl, row_template, write_lines
-from .lexer import _WORD, WORD_CLASS, OpaqueSpan, ScanResult, scan
+from .lexer import _WORD, ScanResult, scan
 
 logger = logging.getLogger(__name__)
 
@@ -74,9 +74,6 @@ _RESERVED_HEADS = frozenset(
 # ("int foo("), except these, which introduce expressions.
 _CALL_PRECEDING_WORDS = frozenset(b"return new throw delete case else do assert instanceof await yield".split())
 
-# A significant token in code: a word, '->', '::', or any other non-space byte.
-_TOKEN = re.compile(WORD_CLASS + rb"+|->|::|\S")
-
 
 def compile_logging_patterns(patterns) -> tuple[re.Pattern, ...]:
     """None means DEFAULT_LOGGING_PATTERNS; no patterns mean no logging category."""
@@ -87,25 +84,13 @@ class _FileContext:
     """Shared lex context for one file; a pair is named by its index in result.pairs."""
 
     def __init__(self, record: FileRecord, result: ScanResult):
-        self.content = content = record.content
+        self.content = record.content
         self.pairs = pairs = result.pairs
-        # The file's significant tokens in order, as bytes and start offsets.
-        # Each string or char literal is one token, quotes included, so it
-        # is never a word or a punctuator; comments and directives give none.
-        texts: list[bytes] = []
-        starts: list[int] = []
-        pos = 0
-        for span in (*result.opaque, OpaqueSpan(len(content), len(content), "end")):
-            for m in _TOKEN.finditer(content, pos, span.start):
-                texts.append(m[0])
-                starts.append(m.start())
-            if span.kind in ("string", "char"):
-                texts.append(content[span.start : span.end])
-                starts.append(span.start)
-            pos = span.end
-        self.texts, self.starts = texts, starts
+        # The scanner's code tokens; a string or char literal is one token,
+        # so it is never a word or a punctuator.
+        self.texts, self.starts = result.token_texts, result.token_starts
         # opener[i]: the token index of pair i's opening delimiter
-        self.opener = [bisect_left(starts, pair.open_offset) for pair in pairs]
+        self.opener = [bisect_left(self.starts, pair.open_offset) for pair in pairs]
         # Each '(' pair's _callee_chain by its ')' offset, stored as it is
         # classified: it opens before the '{' after its ')' reads it.
         self.chain_by_close: dict[int, tuple[int, int, int] | None] = {}

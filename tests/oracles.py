@@ -3,8 +3,9 @@
 These deliberately avoid the package's algorithms: the distance oracles
 are the textbook recursion and the full O(n*m) DP table, the knn oracle a
 brute-force sort, the leak-scan oracle a compare of every pair, the
-delimiter oracle a naive stack walk, the token oracle a walk back from
-one offset at a time, the embedding oracle one text's n-grams hashed one
+delimiter oracle a naive stack walk, the token walker a walk back from
+one offset at a time, the code-token oracle a regex run over each gap
+between opaque spans, the embedding oracle one text's n-grams hashed one
 at a time on Python ints. Slow is fine; agreeing with production code by
 construction is not.
 """
@@ -12,6 +13,7 @@ construction is not.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -212,3 +214,26 @@ class TokenWalker:
             arrow = content[pos - 2 : pos] == b"->" and pos - 1 not in self._span_ending_at
             start = pos - 2 if arrow else pos - 1
         return start, content[start:pos]
+
+
+# A code token: a word, '->', '::', or any other non-space byte.
+_GAP_TOKEN = re.compile(rb"[0-9A-Za-z_$\x80-\xff]+|->|::|\S")
+
+
+def oracle_code_tokens(content: bytes, opaque) -> tuple[list[bytes], list[int]]:
+    """The code tokens of ``content`` as (texts, starts), given the scan's
+    opaque spans: the gaps between spans tokenized one at a time, each
+    string or char literal one token, quotes included, and comments and
+    directives none."""
+    texts: list[bytes] = []
+    starts: list[int] = []
+    pos = 0
+    for start, end, kind in [(s.start, s.end, s.kind) for s in opaque] + [(len(content), None, "end")]:
+        for m in _GAP_TOKEN.finditer(content, pos, start):
+            texts.append(m[0])
+            starts.append(m.start())
+        if kind in ("string", "char"):
+            texts.append(content[start:end])
+            starts.append(start)
+        pos = end
+    return texts, starts

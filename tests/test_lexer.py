@@ -1,9 +1,12 @@
 """Delimiter scanning: literals, comments, preprocessor lines, recovery."""
 
 import random
+from pathlib import Path
 
 from conftest import make_record
-from oracles import TokenWalker, oracle_match_delimiters
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import TokenWalker, oracle_code_tokens, oracle_match_delimiters
 
 from scopekit import scopes
 from scopekit.ingest import Language
@@ -247,6 +250,52 @@ def test_token_list_matches_oracle_walk():
                 pos = tok[0]
             got = [(ctx.starts[t], ctx.texts[t]) for t in range(k - 1, max(k - 17, -1), -1)]
             assert got == want, text
+
+
+_SNIPPET_PIECES = [
+    "f", "x_1", "if", "u8", "L", "R", "\u00e9", "$v", "0xaa", "1", "->", "::", ":", "/=", "/", "*", "-", ">",
+    ".", ";", "=", "{", "}", "(", ")", '"s{"', '"a\\"b"', '"open', "'('", "'\\''", "'x", "1'000", "u8'a'",
+    "// c {", "/* b ( */", "/*", "*/", "#", "#define X {", "#if Y", " ", "\t", "\n", "\r\n", "\\\r\n", "\\\n",
+]
+
+
+def assert_tokens_match_oracle(content: bytes, language):
+    res = scan(content, language)
+    assert (res.token_texts, res.token_starts) == oracle_code_tokens(content, res.opaque), content
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(_SNIPPET_PIECES), max_size=40),
+    language=st.sampled_from([Language.C_CPP, Language.JAVA]),
+)
+def test_code_tokens_match_gap_oracle(pieces, language):
+    assert_tokens_match_oracle("".join(pieces).encode(), language)
+
+
+def test_fixture_code_tokens_match_gap_oracle():
+    files = sorted((Path(__file__).parent / "fixtures").rglob("*.*"))
+    assert files
+    for path in files:
+        language = Language.JAVA if path.suffix == ".java" else Language.C_CPP
+        assert_tokens_match_oracle(path.read_bytes(), language)
+
+
+def test_lone_cr_ends_lines_like_lf():
+    # a lone CR ends a line comment, a literal and a directive; CR and LF
+    # are both one whitespace byte, so every offset and token stays put
+    for text, language in (
+        ("int f() {\n  // note\n  return g(1);\n}\nint h() {\n  return 2;\n}\n", Language.C_CPP),
+        ("#define OPEN {\nint f(){}\n#if X // {\nchar c = '{';\n", Language.C_CPP),
+        ("// splice \\\n { hidden\nint f(){}\n", Language.C_CPP),
+        ('char *s = "open {\nint f() { return 0; }\n', Language.C_CPP),
+        ("class A {\n  // }\n  void m() { char c = '\n'; }\n}\n", Language.JAVA),
+        ('class B { String s = "}\n; void m() {} }\n', Language.JAVA),
+    ):
+        lf = text.encode()
+        cr = lf.replace(b"\n", b"\r")
+        assert scan(cr, language) == scan(lf, language), text
+        assert scan(cr, language).pairs, text
 
 
 def test_language_value_string_lexes_as_its_member():
